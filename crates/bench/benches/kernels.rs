@@ -922,7 +922,7 @@ fn bench_session_service(c: &mut Criterion) {
         }
         let wall = t0.elapsed();
         lat.sort_unstable();
-        let p99 = lat[(lat.len() * 99).div_ceil(100) - 1];
+        let p99 = dance_bench::p99(&lat).expect("latency samples");
         eprintln!(
             "session_service/{workers}w: {:.1} sessions/sec, p99 session latency {:.3} ms \
              ({} sessions, seller update mid-batch)",

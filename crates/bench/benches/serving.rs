@@ -1,6 +1,6 @@
 //! Serving-layer benches: wire pipeline throughput (workers × pipelining
 //! depth), full wire sessions/sec over loopback, the resilience tax of the
-//! retrying v2 client under ~1% injected connection resets, and the
+//! retrying client under ~1% injected connection resets, and the
 //! per-quote saving of `Session::quote_batch` over per-item `quote` calls.
 //!
 //! ```sh
@@ -211,7 +211,7 @@ fn bench_wire_sessions(c: &mut Criterion) {
     }
     let wall = t0.elapsed();
     lat.sort_unstable();
-    let p99 = lat[(lat.len() * 99).div_ceil(100) - 1];
+    let p99 = dance_bench::p99(&lat).expect("latency samples");
     eprintln!(
         "serving/wire_sessions 4w: {:.1} sessions/sec, p99 session latency {:.3} ms \
          ({} wire sessions of 5 requests)",
@@ -223,8 +223,8 @@ fn bench_wire_sessions(c: &mut Criterion) {
     g.finish();
 }
 
-/// The resilience tax: full wire sessions driven by v2 clients (handshake,
-/// bounded retries, reconnect-and-resume) fault-free vs under ~1% injected
+/// The resilience tax: full wire sessions driven by retrying clients
+/// (bounded retries, reconnect-and-resume) fault-free vs under ~1% injected
 /// connection resets, against a lease-configured server. Reports
 /// sessions/sec and p99 session latency for both, so the price of
 /// surviving a hostile network is a measured number.
@@ -343,7 +343,7 @@ fn bench_resilience(c: &mut Criterion) {
         }
         let wall = t0.elapsed();
         lat.sort_unstable();
-        let p99 = lat[(lat.len() * 99).div_ceil(100) - 1];
+        let p99 = dance_bench::p99(&lat).expect("latency samples");
         eprintln!(
             "serving/resilience {label}: {:.1} sessions/sec, p99 session latency {:.3} ms \
              ({} resilient wire sessions of 5 calls)",

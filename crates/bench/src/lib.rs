@@ -28,3 +28,23 @@ pub mod exp_scalability;
 pub mod exp_tables;
 pub mod fmt;
 pub mod setup;
+
+/// Nearest-rank 99th percentile of an ascending-sorted sample — the
+/// `⌈0.99·n⌉`-th smallest value — or `None` for an empty sample.
+pub fn p99<T: Copy>(sorted: &[T]) -> Option<T> {
+    let rank = (sorted.len() * 99).div_ceil(100);
+    rank.checked_sub(1).map(|i| sorted[i])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::p99;
+
+    #[test]
+    fn p99_is_nearest_rank() {
+        assert_eq!(p99::<u32>(&[]), None);
+        assert_eq!(p99(&[5u32]), Some(5));
+        let lat: Vec<u32> = (1..=200).collect();
+        assert_eq!(p99(&lat), Some(198));
+    }
+}

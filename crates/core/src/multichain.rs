@@ -35,26 +35,24 @@ use crate::join_graph::JoinGraph;
 use crate::mcmc::{run_single_chain, McmcConfig, TargetGraph};
 use crate::request::Constraints;
 use crate::target::Cover;
-use dance_relation::hash::splitmix64;
+use dance_relation::hash::{splitmix64, GOLDEN};
 use dance_relation::{AttrSet, FxHashSet, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Per-chain golden-ratio stride fed through `splitmix64`, the standard
-/// recipe for decorrelating sequential seed indices.
-const CHAIN_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The RNG seed for chain `k` of a search seeded with `base`.
 ///
 /// Chain 0 uses `base` verbatim — that is what keeps a multi-chain search's
 /// first chain bit-exact with the single-chain walk. Later chains mix the
 /// index through [`splitmix64`] so nearby base seeds do not produce
-/// overlapping chain streams.
+/// overlapping chain streams. The index is *added* (`base + k·GOLDEN`), not
+/// XOR-ed as in [`dance_relation::hash::derive_seed`]: seeded multi-chain
+/// reports are pinned to this formula.
 pub fn chain_seed(base: u64, chain: usize) -> u64 {
     if chain == 0 {
         base
     } else {
-        splitmix64(base.wrapping_add((chain as u64).wrapping_mul(CHAIN_SEED_STRIDE)))
+        splitmix64(base.wrapping_add((chain as u64).wrapping_mul(GOLDEN)))
     }
 }
 

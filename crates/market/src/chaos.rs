@@ -28,14 +28,10 @@
 //! on either side of a connection (client-side via
 //! `WireClientBuilder::chaos`, server-side via `ServerConfig::chaos`).
 
-use dance_relation::hash::splitmix64;
+use dance_relation::hash::{derive_seed, splitmix64, GOLDEN};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-
-/// Golden-ratio increment of the splitmix64 sequence (the same stride the
-/// session layer's `purchase_seed` uses).
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The socket-option surface the serving layer needs from a stream, beyond
 /// `Read + Write`. Implemented by `TcpStream` and forwarded by
@@ -106,7 +102,7 @@ impl ChaosConfig {
     /// derived from one master seed (`salt` is e.g. the connection index).
     pub fn derive(&self, salt: u64) -> ChaosConfig {
         ChaosConfig {
-            seed: splitmix64(self.seed ^ salt.wrapping_mul(GOLDEN)),
+            seed: derive_seed(self.seed, salt),
             ..*self
         }
     }

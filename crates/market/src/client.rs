@@ -16,21 +16,20 @@
 //! surfaces as [`WireError::Timeout`] wrapped in an `io::Error` of kind
 //! `TimedOut` instead of blocking forever.
 //!
-//! **Resilience.** A client built with [`WireClient::builder`] performs
-//! the protocol-v2 `Hello` handshake on connect and remembers the
+//! **Resilience.** The client remembers the
 //! [`crate::session::SessionToken`] of every session it opens. With a
-//! [`RetryPolicy`] attached, [`WireClient::call`] becomes an exactly-once
-//! retry loop: each attempt runs under `op_timeout`, failures tear the
-//! connection down and reconnect (re-`Hello`, then `ResumeSession` for
-//! every remembered token), attempts are bounded, and the backoff between
-//! them is exponential with deterministic seeded jitter (the same
-//! [`splitmix64`] + golden-ratio recipe the session layer's purchase seeds
-//! use — two clients with the same policy seed back off identically).
+//! [`RetryPolicy`] attached ([`WireClient::builder`]), [`WireClient::call`]
+//! becomes an exactly-once retry loop: each attempt runs under
+//! `op_timeout`, failures tear the connection down and reconnect
+//! (`ResumeSession` for every remembered token), attempts are bounded, and
+//! the backoff between them is exponential with deterministic seeded jitter
+//! (the same [`derive_seed`] recipe the session layer's purchase seeds use —
+//! two clients with the same policy seed back off identically).
 //! Retried requests reuse their original request id, so the server's
 //! replay cache answers duplicates with the recorded bytes and a purchase
 //! is never charged twice.
 //!
-//! Handshake and resumption frames draw their request ids from a separate
+//! `Hello` and resumption frames draw their request ids from a separate
 //! control-id space ([`CTRL_ID_BASE`] upward) so the *logical* id sequence
 //! (1, 2, 3…) is a pure function of the caller's call sequence no matter
 //! how many reconnects happened in between — which is what keeps a chaos
@@ -44,8 +43,8 @@
 //! Control frames and discarded stale duplicates are never recorded.
 
 use crate::chaos::{ChaosConfig, ChaosStream, Transport};
-use crate::wire::{self, FaultCode, Reply, Request, Response, WireError, HEADER_LEN};
-use dance_relation::hash::splitmix64;
+use crate::wire::{self, Fault, FaultCode, Reply, Request, Response, WireError, HEADER_LEN};
+use dance_relation::hash::derive_seed;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -60,16 +59,12 @@ pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// spaces can never collide.
 pub const CTRL_ID_BASE: u64 = 1 << 63;
 
-/// Golden-ratio stride of the backoff-jitter sequence (the `splitmix64`
-/// recipe shared with `purchase_seed` and `chain_seed`).
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// Bounded-retry configuration for [`WireClient::call`].
 ///
 /// `attempts` bounds the whole loop (first try included); every attempt
 /// runs under `op_timeout`; the pause before attempt `k` is
 /// `min(base_backoff · 2^(k−1), max_backoff)` scaled by a deterministic
-/// jitter factor in `[½, 1]` drawn from `splitmix64(seed ⊕ k·GOLDEN)`.
+/// jitter factor in `[½, 1]` drawn from `derive_seed(seed, k)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum attempts per logical request, first try included (≥ 1).
@@ -109,7 +104,7 @@ impl RetryPolicy {
         if nanos == 0 {
             return Duration::ZERO;
         }
-        let draw = splitmix64(self.seed ^ (attempt as u64).wrapping_mul(GOLDEN));
+        let draw = derive_seed(self.seed, attempt as u64);
         let jittered = nanos / 2 + draw % (nanos / 2 + 1);
         Duration::from_nanos(jittered)
     }
@@ -165,11 +160,7 @@ fn establish(addr: SocketAddr, chaos: Option<ChaosConfig>, salt: u64) -> io::Res
     })
 }
 
-/// Configures and connects a [`WireClient`]. Built clients perform the
-/// protocol-v2 `Hello` handshake on connect (unless [`v1`] opts out) and
-/// so receive resumption tokens with every opened session.
-///
-/// [`v1`]: WireClientBuilder::v1
+/// Configures and connects a [`WireClient`].
 #[derive(Debug)]
 pub struct WireClientBuilder {
     addr: Option<SocketAddr>,
@@ -177,7 +168,6 @@ pub struct WireClientBuilder {
     chaos: Option<ChaosConfig>,
     retry: Option<RetryPolicy>,
     read_timeout: Duration,
-    handshake: bool,
 }
 
 impl WireClientBuilder {
@@ -208,25 +198,13 @@ impl WireClientBuilder {
         self
     }
 
-    /// Skip the `Hello` handshake and speak protocol v1 (no resumption
-    /// tokens), like [`WireClient::connect`].
-    pub fn v1(mut self) -> Self {
-        self.handshake = false;
-        self
-    }
-
-    /// Connect (and handshake, unless [`v1`]). With a retry policy, the
-    /// handshake itself is retried over fresh connections within the
-    /// policy's attempt bound.
-    ///
-    /// [`v1`]: WireClientBuilder::v1
+    /// Connect.
     pub fn connect(self) -> io::Result<WireClient> {
         let addr = self.addr.ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidInput, "address did not resolve")
         })?;
-        let conn = establish(addr, self.chaos, 0)?;
-        let mut c = WireClient {
-            stream: conn,
+        Ok(WireClient {
+            stream: establish(addr, self.chaos, 0)?,
             addr,
             chaos: self.chaos,
             retry: self.retry,
@@ -236,49 +214,12 @@ impl WireClientBuilder {
             recv: Vec::with_capacity(16 * 1024),
             next_id: 1,
             next_ctrl_id: CTRL_ID_BASE,
-            version: wire::MIN_PROTOCOL_VERSION,
-            handshaken: false,
             broken: false,
             reconnects: 0,
             record: self.record,
             transcript: Vec::new(),
             tokens: BTreeMap::new(),
-        };
-        if self.handshake {
-            let policy = c.retry.unwrap_or(RetryPolicy {
-                attempts: 1,
-                op_timeout: c.read_timeout,
-                ..RetryPolicy::default()
-            });
-            let mut last: Option<io::Error> = None;
-            let mut done = false;
-            for attempt in 0..policy.attempts.max(1) {
-                if attempt > 0 {
-                    std::thread::sleep(policy.backoff(attempt));
-                    if c.broken {
-                        if let Err(e) = c.raw_reconnect() {
-                            last = Some(e);
-                            continue;
-                        }
-                    }
-                }
-                match c.hello() {
-                    Ok(_) => {
-                        done = true;
-                        break;
-                    }
-                    Err(e) => {
-                        c.broken = true;
-                        last = Some(e);
-                    }
-                }
-            }
-            if !done {
-                return Err(last.unwrap_or_else(timeout_error));
-            }
-            c.handshaken = true;
-        }
-        Ok(c)
+        })
     }
 }
 
@@ -298,16 +239,12 @@ pub struct WireClient {
     recv: Vec<u8>,
     next_id: u64,
     next_ctrl_id: u64,
-    /// Frame version requests are encoded at (1 until a `Hello` upgrades).
-    version: u16,
-    /// `Hello` completed: reconnects re-handshake and resume sessions.
-    handshaken: bool,
     /// The connection is known dead; the next retry attempt reconnects.
     broken: bool,
     reconnects: u64,
     record: bool,
     transcript: Vec<u8>,
-    /// Session id → resumption token for every v2 session opened through
+    /// Session id → resumption token for every session opened through
     /// this client (sorted, so resumption order is deterministic).
     tokens: BTreeMap<u64, u64>,
 }
@@ -321,20 +258,20 @@ fn timeout_error() -> io::Error {
 }
 
 impl WireClient {
-    /// Connect speaking protocol v1, no handshake, no retries — the
-    /// pre-resumption client, byte-compatible with the v1 frame stream.
+    /// Connect with no retries and the default read deadline.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<WireClient> {
-        WireClient::builder(addr).v1().connect()
+        WireClient::builder(addr).connect()
     }
 
     /// [`WireClient::connect`] with transcript recording on: every raw
     /// response frame returned to the caller is appended to
     /// [`WireClient::transcript`] in arrival order.
     pub fn recording(addr: impl ToSocketAddrs) -> io::Result<WireClient> {
-        WireClient::builder(addr).v1().recording().connect()
+        WireClient::builder(addr).recording().connect()
     }
 
-    /// Start configuring a resilient (protocol-v2) client.
+    /// Start configuring a client (recording, fault injection, retries,
+    /// read deadline).
     pub fn builder(addr: impl ToSocketAddrs) -> WireClientBuilder {
         WireClientBuilder {
             addr: addr.to_socket_addrs().ok().and_then(|mut it| it.next()),
@@ -342,7 +279,6 @@ impl WireClient {
             chaos: None,
             retry: None,
             read_timeout: DEFAULT_READ_TIMEOUT,
-            handshake: true,
         }
     }
 
@@ -356,12 +292,6 @@ impl WireClient {
         self.next_id - 1
     }
 
-    /// The frame version this client currently encodes at (1, or the
-    /// `Hello`-negotiated version).
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
     /// Connections re-established by the retry layer.
     pub fn reconnects(&self) -> u64 {
         self.reconnects
@@ -369,20 +299,20 @@ impl WireClient {
 
     /// Encode `req` into the send buffer (no I/O) and return the request id
     /// it will be answered under. Ids are assigned 1, 2, 3… per client —
-    /// control frames (handshake/resume) draw from a disjoint space — so
+    /// control frames (`Hello`/resume) draw from a disjoint space — so
     /// the logical id sequence is deterministic.
     pub fn queue(&mut self, req: &Request) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        wire::encode_request_v(&mut self.send, self.version, id, req);
+        wire::encode_request(&mut self.send, id, req);
         id
     }
 
     /// Re-encode `req` under an already-assigned request id and flush it —
-    /// an explicit retry. Against a v2 server the duplicate id is answered
-    /// from the replay cache with the originally recorded bytes.
+    /// an explicit retry. The server answers the duplicate id from its
+    /// replay cache with the originally recorded bytes.
     pub fn resend(&mut self, request_id: u64, req: &Request) -> io::Result<()> {
-        wire::encode_request_v(&mut self.send, self.version, request_id, req);
+        wire::encode_request(&mut self.send, request_id, req);
         self.flush()
     }
 
@@ -449,7 +379,7 @@ impl WireClient {
     }
 
     /// Decode (and optionally record) the complete frame heading the
-    /// receive buffer, draining it. Learns resumption tokens from v2
+    /// receive buffer, draining it. Learns resumption tokens from
     /// `OpenSession` replies as they pass through.
     fn take_reply(
         &mut self,
@@ -457,7 +387,7 @@ impl WireClient {
         frame_len: usize,
         record: bool,
     ) -> io::Result<Reply> {
-        let reply = wire::decode_reply_v(h.version, h.opcode, &self.recv[HEADER_LEN..frame_len])
+        let reply = wire::decode_reply(h.opcode, &self.recv[HEADER_LEN..frame_len])
             .map_err(protocol_io_error)?;
         if record && self.record && h.request_id < CTRL_ID_BASE {
             self.transcript.extend_from_slice(&self.recv[..frame_len]);
@@ -511,7 +441,8 @@ impl WireClient {
     /// (and panics if the response id does not match — only valid with no
     /// other requests in flight). With a policy, failures reconnect,
     /// resume and retry under the original request id, bounded by
-    /// `attempts`.
+    /// `attempts`; a `session busy` answer is retried on the same
+    /// connection.
     pub fn call(&mut self, req: &Request) -> io::Result<Reply> {
         match self.retry {
             None => {
@@ -528,8 +459,9 @@ impl WireClient {
     fn call_with_retry(&mut self, req: &Request, policy: RetryPolicy) -> io::Result<Reply> {
         let id = self.next_id;
         self.next_id += 1;
+        let attempts = policy.attempts.max(1);
         let mut last: Option<io::Error> = None;
-        for attempt in 0..policy.attempts.max(1) {
+        for attempt in 0..attempts {
             if attempt > 0 {
                 std::thread::sleep(policy.backoff(attempt));
             }
@@ -540,13 +472,22 @@ impl WireClient {
                 }
             }
             self.send.clear();
-            wire::encode_request_v(&mut self.send, self.version, id, req);
+            wire::encode_request(&mut self.send, id, req);
             if let Err(e) = self.flush() {
                 self.broken = true;
                 last = Some(e);
                 continue;
             }
+            let mark = self.transcript.len();
             match self.await_reply(id, policy.op_timeout, true) {
+                Ok(Reply::Fault(f)) if attempt + 1 < attempts && f == Fault::session_busy() => {
+                    // A retried open whose session the dead connection's
+                    // worker has not parked yet: transient, so it is no
+                    // answer for the caller (or the transcript). The
+                    // connection is fine; back off and ask again.
+                    self.transcript.truncate(mark);
+                    last = Some(io::Error::new(io::ErrorKind::WouldBlock, f.to_string()));
+                }
                 Ok(reply) => return Ok(reply),
                 Err(e) => {
                     // Timeouts reconnect too: the attempt's fate is
@@ -566,14 +507,13 @@ impl WireClient {
     }
 
     /// Run the `Hello` handshake: offer [`wire::PROTOCOL_VERSION`] and all
-    /// feature bits, adopt the accepted version for subsequent frames, and
-    /// return `(version, features)` as granted by the server.
+    /// feature bits, and return `(version, features)` as granted by the
+    /// server.
     pub fn hello(&mut self) -> io::Result<(u16, u32)> {
         let id = self.next_ctrl_id;
         self.next_ctrl_id += 1;
-        wire::encode_request_v(
+        wire::encode_request(
             &mut self.send,
-            self.version,
             id,
             &Request::Hello {
                 version: wire::PROTOCOL_VERSION,
@@ -583,10 +523,7 @@ impl WireClient {
         self.flush()?;
         let deadline = self.ctrl_deadline();
         match self.await_reply(id, deadline, false)? {
-            Reply::Ok(Response::Hello { version, features }) => {
-                self.version = version.clamp(wire::MIN_PROTOCOL_VERSION, wire::PROTOCOL_VERSION);
-                Ok((version, features))
-            }
+            Reply::Ok(Response::Hello { version, features }) => Ok((version, features)),
             Reply::Fault(f) => Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
                 f.to_string(),
@@ -598,34 +535,24 @@ impl WireClient {
         }
     }
 
-    /// Tear down and re-establish the transport without handshaking.
-    fn raw_reconnect(&mut self) -> io::Result<()> {
+    /// Reconnect: fresh transport, then `ResumeSession` for every
+    /// remembered token (in session-id order). Any failure marks the
+    /// connection broken again for the caller's bounded loop.
+    fn reconnect(&mut self, policy: &RetryPolicy) -> io::Result<()> {
         self.reconnects += 1;
         self.stream = establish(self.addr, self.chaos, self.reconnects)?;
         self.stream_timeout = None;
         self.recv.clear();
         self.send.clear();
         self.broken = false;
-        Ok(())
-    }
-
-    /// Reconnect fully: fresh transport, re-`Hello`, and `ResumeSession`
-    /// for every remembered token (in session-id order). Any failure marks
-    /// the connection broken again for the caller's bounded loop.
-    fn reconnect(&mut self, policy: &RetryPolicy) -> io::Result<()> {
-        self.raw_reconnect()?;
-        let r = self.handshake_and_resume(policy);
+        let r = self.resume_all(policy);
         if r.is_err() {
             self.broken = true;
         }
         r
     }
 
-    fn handshake_and_resume(&mut self, policy: &RetryPolicy) -> io::Result<()> {
-        if !self.handshaken {
-            return Ok(());
-        }
-        self.hello()?;
+    fn resume_all(&mut self, policy: &RetryPolicy) -> io::Result<()> {
         let tokens: Vec<(u64, u64)> = self.tokens.iter().map(|(s, t)| (*s, *t)).collect();
         for (session, token) in tokens {
             self.resume_one(session, token, policy)?;
@@ -643,7 +570,7 @@ impl WireClient {
             }
             let id = self.next_ctrl_id;
             self.next_ctrl_id += 1;
-            wire::encode_request_v(&mut self.send, self.version, id, &Request::Resume { token });
+            wire::encode_request(&mut self.send, id, &Request::Resume { token });
             self.flush()?;
             match self.await_reply(id, policy.op_timeout, false)? {
                 Reply::Ok(Response::Resume { .. }) => return Ok(()),
@@ -673,7 +600,8 @@ impl WireClient {
     pub fn send_raw_frame(&mut self, opcode: u16, request_id: u64, payload: &[u8]) {
         let start = self.send.len();
         self.send.extend_from_slice(&wire::MAGIC.to_le_bytes());
-        self.send.extend_from_slice(&self.version.to_le_bytes());
+        self.send
+            .extend_from_slice(&wire::PROTOCOL_VERSION.to_le_bytes());
         self.send.extend_from_slice(&opcode.to_le_bytes());
         self.send.extend_from_slice(&request_id.to_le_bytes());
         self.send

@@ -30,23 +30,22 @@
 //! than hangs, and the bounded accept backlog sheds load at the edge. All
 //! of it is surfaced in [`StatsSnapshot`] via [`Server::stats`].
 //!
-//! **Resilience** (protocol v2): sessions opened under v2 frames survive
-//! their connection. When a connection dies, its v2 sessions are **parked**
-//! in a token registry (if the manager has an idle lease configured) and a
-//! fresh connection re-attaches them with `ResumeSession` + the
-//! [`crate::session::SessionToken`] from the open reply; parked sessions
-//! whose lease expires are reclaimed, releasing their capacity slot. Every
-//! v2 session carries a bounded **replay cache** keyed by request id plus a
-//! digest of the request bytes (ids restart when a fresh client resumes a
-//! parked session, so the id alone is not a request identity): a retried
-//! mutating op (`BuySample`/`Execute`…) after an ambiguous failure
-//! is answered with the recorded reply bytes instead of re-executing, so
-//! the ledger is never double-charged — and retried `OpenSession` /
-//! `CloseSession` frames are deduplicated the same way through the shared
-//! registry. Mid-frame read stalls and slow writes are bounded by
-//! [`ServerConfig::io_deadline`] so a slow-loris peer cannot pin a worker
-//! (idle connections between frames are unaffected). Workers are generic
-//! over [`Transport`], and [`ServerConfig::chaos`] splices a seeded
+//! **Resilience:** sessions survive their connection. When a connection
+//! dies, its sessions are **parked** in a token registry (if the manager
+//! has an idle lease configured) and a fresh connection re-attaches them
+//! with `ResumeSession` + the [`crate::session::SessionToken`] from the
+//! open reply; parked sessions whose lease expires are reclaimed, releasing
+//! their capacity slot. Every session carries a bounded **replay cache**
+//! keyed by request id plus a digest of the request bytes (ids restart
+//! when a fresh client resumes a parked session, so the id alone is not a
+//! request identity): a retried mutating op (`BuySample`/`Execute`…) after
+//! an ambiguous failure is answered with the recorded reply bytes instead
+//! of re-executing, so the ledger is never double-charged — and retried
+//! `OpenSession` / `CloseSession` frames are deduplicated the same way
+//! through the shared registry. Mid-frame read stalls and slow writes are
+//! bounded by [`ServerConfig::io_deadline`] so a slow-loris peer cannot pin
+//! a worker (idle connections between frames are unaffected). Workers are
+//! generic over [`Transport`], and [`ServerConfig::chaos`] splices a seeded
 //! fault-injecting [`ChaosStream`] under every accepted connection for
 //! deterministic failure testing.
 
@@ -566,19 +565,13 @@ fn next_connection(shared: &Shared) -> Option<(u64, TcpStream)> {
 struct ConnSession {
     shopper: u64,
     session: Session,
-    /// The session's resumption token (also minted for v1 sessions, which
-    /// simply never see it on the wire).
+    /// The session's resumption token.
     token: u64,
-    /// Opened (or resumed) under a v2 frame: replies are remembered for
-    /// retry dedup, and the session parks on disconnect when a lease is
-    /// configured.
-    replayable: bool,
     replay: ReplayCache,
 }
 
-/// Serve one connection to completion, then hand its surviving v2 sessions
-/// to the parking registry (v1 sessions drop with the connection, as
-/// before resumption existed).
+/// Serve one connection to completion, then hand its surviving sessions to
+/// the parking registry.
 fn serve_connection<S: Transport>(shared: &Shared, mut stream: S, conn_id: u64) {
     let mut sessions: HashMap<u64, ConnSession> = HashMap::with_capacity(4);
     drive_connection(shared, &mut stream, conn_id, &mut sessions);
@@ -682,19 +675,16 @@ fn expired(since: Option<Instant>, deadline: Duration) -> bool {
     since.is_some_and(|t0| t0.elapsed() >= deadline)
 }
 
-/// Park the connection's surviving resumable sessions in the registry;
-/// everything else drops here (releasing capacity slots immediately).
+/// Park the connection's surviving sessions in the registry when the
+/// manager has a lease; otherwise they drop here (releasing capacity slots
+/// immediately).
 fn park_connection(shared: &Shared, conn_id: u64, sessions: HashMap<u64, ConnSession>) {
-    if sessions.is_empty() {
+    if sessions.is_empty() || shared.mgr.lease().is_none() {
         return;
     }
-    let lease_on = shared.mgr.lease().is_some();
     let now = Instant::now();
     let mut reg = shared.registry.lock().unwrap();
     for (_, cs) in sessions {
-        if !(lease_on && cs.replayable) {
-            continue;
-        }
         if let Some(TokenEntry::Attached { conn }) = reg.tokens.get(&cs.token) {
             if *conn == conn_id {
                 reg.tokens.insert(
@@ -712,7 +702,7 @@ fn park_connection(shared: &Shared, conn_id: u64, sessions: HashMap<u64, ConnSes
 }
 
 /// What the post-encode bookkeeping must remember about a dispatched
-/// request (v2 exactly-once records).
+/// request (exactly-once records).
 enum Recorded {
     Nothing,
     Open {
@@ -735,7 +725,7 @@ enum OpenDedup {
     Miss,
 }
 
-/// Answer a retried v2 `OpenSession` from the registry: re-attach the
+/// Answer a retried `OpenSession` from the registry: re-attach the
 /// session if the original connection's death parked it, then replay the
 /// recorded open frame byte-for-byte.
 fn try_dedup_open(
@@ -780,7 +770,6 @@ fn try_dedup_open(
                     shopper: owner,
                     session,
                     token,
-                    replayable: true,
                     replay,
                 },
             );
@@ -820,13 +809,7 @@ fn handle_frame(
                 .counters
                 .protocol_errors
                 .fetch_add(1, Ordering::Relaxed);
-            wire::encode_reply_v(
-                send,
-                h.version,
-                request_id,
-                opcode,
-                &Reply::Fault(Fault::protocol(&e)),
-            );
+            wire::encode_reply(send, request_id, opcode, &Reply::Fault(Fault::protocol(&e)));
             return;
         }
     };
@@ -840,56 +823,51 @@ fn handle_frame(
     // client (whose ids restart at 1) inherit a session.
     let digest = request_digest(opcode, payload);
 
-    // Exactly-once interception, v2 frames only: a retried request id is
-    // answered with the recorded reply bytes — no re-execution, no second
-    // ledger charge, bit-identical frames.
-    if h.version >= 2 {
-        match &req {
-            Request::OpenSession { shopper, .. } => {
-                match try_dedup_open(
-                    shared, conn_id, *shopper, request_id, digest, sessions, send,
-                ) {
-                    OpenDedup::Hit => return,
-                    OpenDedup::Busy => {
-                        wire::encode_reply_v(
-                            send,
-                            h.version,
-                            request_id,
-                            opcode,
-                            &Reply::Fault(Fault::session_busy()),
-                        );
+    // Exactly-once interception: a retried request id is answered with the
+    // recorded reply bytes — no re-execution, no second ledger charge,
+    // bit-identical frames.
+    match &req {
+        Request::OpenSession { shopper, .. } => {
+            match try_dedup_open(
+                shared, conn_id, *shopper, request_id, digest, sessions, send,
+            ) {
+                OpenDedup::Hit => return,
+                OpenDedup::Busy => {
+                    wire::encode_reply(
+                        send,
+                        request_id,
+                        opcode,
+                        &Reply::Fault(Fault::session_busy()),
+                    );
+                    return;
+                }
+                OpenDedup::Miss => {}
+            }
+        }
+        Request::Quote { session, .. }
+        | Request::QuoteBatch { session, .. }
+        | Request::BuySample { session, .. }
+        | Request::Execute { session, .. }
+        | Request::Repin { session }
+        | Request::CloseSession { session } => {
+            if let Some(cs) = sessions.get(session) {
+                if let Some(frame) = cs.replay.get(request_id, digest) {
+                    shared.counters.replay_hits.fetch_add(1, Ordering::Relaxed);
+                    send.extend_from_slice(frame);
+                    return;
+                }
+            } else if matches!(req, Request::CloseSession { .. }) {
+                let reg = shared.registry.lock().unwrap();
+                if let Some(rec) = reg.closes.get(session) {
+                    if rec.request_id == request_id && rec.digest == digest {
+                        shared.counters.replay_hits.fetch_add(1, Ordering::Relaxed);
+                        send.extend_from_slice(&rec.frame);
                         return;
                     }
-                    OpenDedup::Miss => {}
                 }
             }
-            Request::Quote { session, .. }
-            | Request::QuoteBatch { session, .. }
-            | Request::BuySample { session, .. }
-            | Request::Execute { session, .. }
-            | Request::Repin { session }
-            | Request::CloseSession { session } => {
-                if let Some(cs) = sessions.get(session) {
-                    if cs.replayable {
-                        if let Some(frame) = cs.replay.get(request_id, digest) {
-                            shared.counters.replay_hits.fetch_add(1, Ordering::Relaxed);
-                            send.extend_from_slice(frame);
-                            return;
-                        }
-                    }
-                } else if matches!(req, Request::CloseSession { .. }) {
-                    let reg = shared.registry.lock().unwrap();
-                    if let Some(rec) = reg.closes.get(session) {
-                        if rec.request_id == request_id && rec.digest == digest {
-                            shared.counters.replay_hits.fetch_add(1, Ordering::Relaxed);
-                            send.extend_from_slice(&rec.frame);
-                            return;
-                        }
-                    }
-                }
-            }
-            _ => {}
         }
+        _ => {}
     }
 
     // Admission: every request except Stats and the control frames
@@ -906,9 +884,8 @@ fn handle_frame(
         | Request::CloseSession { session } => match sessions.get(session) {
             Some(cs) => Some(cs.shopper),
             None => {
-                wire::encode_reply_v(
+                wire::encode_reply(
                     send,
-                    h.version,
                     request_id,
                     opcode,
                     &Reply::Fault(Fault::unknown_session(*session)),
@@ -920,9 +897,8 @@ fn handle_frame(
     if let Some(shopper) = shopper {
         if !shared.admit(shopper) {
             shared.counters.rate_limited.fetch_add(1, Ordering::Relaxed);
-            wire::encode_reply_v(
+            wire::encode_reply(
                 send,
-                h.version,
                 request_id,
                 opcode,
                 &Reply::Fault(Fault::rejected("shopper rate limit exceeded; retry later")),
@@ -946,8 +922,7 @@ fn handle_frame(
                     let id = session.id().0;
                     let version = session.pinned_version();
                     let token = shared.mgr.session_token(session.id()).0;
-                    let replayable = h.version >= 2;
-                    if replayable && shared.mgr.lease().is_some() {
+                    if shared.mgr.lease().is_some() {
                         record = Recorded::Open {
                             shopper,
                             session: id,
@@ -960,7 +935,6 @@ fn handle_frame(
                             shopper,
                             session,
                             token,
-                            replayable,
                             replay: ReplayCache::default(),
                         },
                     );
@@ -1042,12 +1016,10 @@ fn handle_frame(
         Request::Stats => Reply::Ok(Response::Stats(shared.stats())),
         Request::CloseSession { session } => {
             let cs = sessions.remove(&session).expect("checked above");
-            if cs.replayable {
-                record = Recorded::Close {
-                    session,
-                    token: cs.token,
-                };
-            }
+            record = Recorded::Close {
+                session,
+                token: cs.token,
+            };
             let report = shared.mgr.close(cs.session);
             Reply::Ok(Response::CloseSession {
                 seed: report.seed,
@@ -1058,11 +1030,11 @@ fn handle_frame(
             })
         }
         Request::Hello { version, features } => {
-            if version < wire::MIN_PROTOCOL_VERSION {
+            if version < wire::PROTOCOL_VERSION {
                 Reply::Fault(Fault::unsupported_version(version))
             } else {
                 Reply::Ok(Response::Hello {
-                    version: version.min(wire::PROTOCOL_VERSION),
+                    version: wire::PROTOCOL_VERSION,
                     features: features & wire::SERVER_FEATURES,
                 })
             }
@@ -1095,7 +1067,6 @@ fn handle_frame(
                                 shopper: owner,
                                 session,
                                 token,
-                                replayable: true,
                                 replay,
                             },
                         );
@@ -1120,40 +1091,36 @@ fn handle_frame(
         }
     };
     let frame_start = send.len();
-    wire::encode_reply_v(send, h.version, request_id, opcode, &reply);
-    if h.version >= 2 {
-        match record {
-            Recorded::Nothing => {}
-            Recorded::Open {
-                shopper,
-                session,
-                token,
-            } => {
-                if reply.ok().is_some() {
-                    let mut reg = shared.registry.lock().unwrap();
-                    reg.tokens
-                        .insert(token, TokenEntry::Attached { conn: conn_id });
-                    reg.record_open(
-                        (shopper, request_id),
-                        session,
-                        token,
-                        digest,
-                        &send[frame_start..],
-                    );
-                }
-            }
-            Recorded::Op { session } => {
-                if let Some(cs) = sessions.get_mut(&session) {
-                    if cs.replayable {
-                        cs.replay.put(request_id, digest, &send[frame_start..]);
-                    }
-                }
-            }
-            Recorded::Close { session, token } => {
+    wire::encode_reply(send, request_id, opcode, &reply);
+    match record {
+        Recorded::Nothing => {}
+        Recorded::Open {
+            shopper,
+            session,
+            token,
+        } => {
+            if reply.ok().is_some() {
                 let mut reg = shared.registry.lock().unwrap();
-                reg.tokens.remove(&token);
-                reg.record_close(session, request_id, digest, &send[frame_start..]);
+                reg.tokens
+                    .insert(token, TokenEntry::Attached { conn: conn_id });
+                reg.record_open(
+                    (shopper, request_id),
+                    session,
+                    token,
+                    digest,
+                    &send[frame_start..],
+                );
             }
+        }
+        Recorded::Op { session } => {
+            if let Some(cs) = sessions.get_mut(&session) {
+                cs.replay.put(request_id, digest, &send[frame_start..]);
+            }
+        }
+        Recorded::Close { session, token } => {
+            let mut reg = shared.registry.lock().unwrap();
+            reg.tokens.remove(&token);
+            reg.record_close(session, request_id, digest, &send[frame_start..]);
         }
     }
 }
@@ -1161,7 +1128,7 @@ fn handle_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::WireClient;
+    use crate::client::{RetryPolicy, WireClient};
     use crate::pricing::EntropyPricing;
     use crate::session::SessionManagerConfig;
     use crate::Marketplace;
@@ -1387,8 +1354,25 @@ mod tests {
         );
         // The server closed the connection afterwards.
         assert!(client.recv_reply().is_err());
+        assert_eq!(server.stats().protocol_errors, 1);
+
+        // A well-formed frame whose header carries the retired version 1
+        // is the same kind of framing loss: one fault, then close.
+        let mut client = WireClient::connect(server.addr()).unwrap();
+        let mut frame = Vec::new();
+        wire::encode_request(&mut frame, 3, &Request::Stats);
+        frame[4..6].copy_from_slice(&1u16.to_le_bytes());
+        client.send_raw_bytes(&frame);
+        client.flush().unwrap();
+        let (id, reply) = client.recv_reply().unwrap();
+        assert_eq!(id, 0, "connection-level fault carries request id 0");
+        assert_eq!(
+            reply.fault().map(|f| f.code),
+            Some(crate::wire::FaultCode::Protocol)
+        );
+        assert!(client.recv_reply().is_err());
         let stats = server.shutdown();
-        assert_eq!(stats.protocol_errors, 1);
+        assert_eq!(stats.protocol_errors, 2);
     }
 
     #[test]
@@ -1482,7 +1466,7 @@ mod tests {
         c.recv_reply().unwrap()
     }
 
-    // --- resilience-layer tests (protocol v2) ---
+    // --- resilience-layer tests ---
 
     /// A manager with resumption on: a 30s lease (long enough to never
     /// lapse mid-test) and a pinned token secret.
@@ -1528,44 +1512,40 @@ mod tests {
             reply.fault().map(|f| f.code),
             Some(crate::wire::FaultCode::Protocol)
         );
+        // So does the retired version 1.
+        let reply = client
+            .call(&Request::Hello {
+                version: 1,
+                features: 0,
+            })
+            .unwrap();
+        assert_eq!(reply, Reply::Fault(Fault::unsupported_version(1)));
         server.shutdown();
     }
 
     #[test]
-    fn v2_open_carries_a_token_and_v1_does_not() {
+    fn every_open_carries_the_managers_token() {
         let mgr = resilient_service(8);
         let server = Server::start(Arc::clone(&mgr), ServerConfig::default()).unwrap();
-
-        let mut v1 = WireClient::connect(server.addr()).unwrap();
-        let open = v1
-            .call(&Request::OpenSession {
-                shopper: 1,
-                seed: 7,
-                budget: 100.0,
-            })
-            .unwrap();
-        let Reply::Ok(Response::OpenSession { token, .. }) = open else {
-            panic!("expected open");
-        };
-        assert_eq!(token, 0, "v1 frames never carry the token");
-
-        let mut v2 = WireClient::builder(server.addr()).connect().unwrap();
-        let open = v2
-            .call(&Request::OpenSession {
-                shopper: 1,
-                seed: 7,
-                budget: 100.0,
-            })
-            .unwrap();
-        let Reply::Ok(Response::OpenSession { session, token, .. }) = open else {
-            panic!("expected open");
-        };
-        assert_eq!(
-            token,
-            mgr.session_token(crate::session::SessionId(session)).0,
-            "the wire token is the manager's token for this session"
-        );
-        assert_ne!(token, 0);
+        let mut client = WireClient::connect(server.addr()).unwrap();
+        for seed in [7, 8] {
+            let open = client
+                .call(&Request::OpenSession {
+                    shopper: 1,
+                    seed,
+                    budget: 100.0,
+                })
+                .unwrap();
+            let Reply::Ok(Response::OpenSession { session, token, .. }) = open else {
+                panic!("expected open");
+            };
+            assert_eq!(
+                token,
+                mgr.session_token(crate::session::SessionId(session)).0,
+                "the wire token is the manager's token for this session"
+            );
+            assert_ne!(token, 0);
+        }
         server.shutdown();
     }
 
@@ -1574,7 +1554,7 @@ mod tests {
         let mgr = resilient_service(8);
         let server = Server::start(Arc::clone(&mgr), ServerConfig::default()).unwrap();
 
-        let mut c1 = WireClient::builder(server.addr()).connect().unwrap();
+        let mut c1 = WireClient::connect(server.addr()).unwrap();
         let open = c1
             .call(&Request::OpenSession {
                 shopper: 3,
@@ -1601,7 +1581,7 @@ mod tests {
 
         // A fresh connection re-attaches with the token; the session is at
         // its pinned snapshot with one purchase in the ledger.
-        let mut c2 = WireClient::builder(server.addr()).connect().unwrap();
+        let mut c2 = WireClient::connect(server.addr()).unwrap();
         let resumed = resume_with_retry(&mut c2, token);
         let Reply::Ok(Response::Resume {
             session: rs,
@@ -1667,7 +1647,7 @@ mod tests {
     fn bogus_tokens_cannot_resume() {
         let mgr = resilient_service(8);
         let server = Server::start(mgr, ServerConfig::default()).unwrap();
-        let mut client = WireClient::builder(server.addr()).connect().unwrap();
+        let mut client = WireClient::connect(server.addr()).unwrap();
         let reply = client
             .call(&Request::Resume { token: 0xBAAD_F00D })
             .unwrap();
@@ -1682,10 +1662,7 @@ mod tests {
     fn retried_purchase_replays_identical_bytes_without_double_charge() {
         let mgr = resilient_service(8);
         let server = Server::start(Arc::clone(&mgr), ServerConfig::default()).unwrap();
-        let mut client = WireClient::builder(server.addr())
-            .recording()
-            .connect()
-            .unwrap();
+        let mut client = WireClient::recording(server.addr()).unwrap();
         let open = client
             .call(&Request::OpenSession {
                 shopper: 5,
@@ -1753,7 +1730,7 @@ mod tests {
     fn retried_open_returns_the_same_session_not_a_second_one() {
         let mgr = resilient_service(8);
         let server = Server::start(Arc::clone(&mgr), ServerConfig::default()).unwrap();
-        let mut client = WireClient::builder(server.addr()).connect().unwrap();
+        let mut client = WireClient::connect(server.addr()).unwrap();
         let open = Request::OpenSession {
             shopper: 9,
             seed: 21,
@@ -1773,6 +1750,52 @@ mod tests {
     }
 
     #[test]
+    fn retrying_client_waits_out_a_busy_open_until_the_session_parks() {
+        let mgr = resilient_service(8);
+        let server = Server::start(Arc::clone(&mgr), ServerConfig::default()).unwrap();
+        let open = Request::OpenSession {
+            shopper: 4,
+            seed: 5,
+            budget: 50.0,
+        };
+        // The first connection opens and stays alive, so its session stays
+        // attached to it.
+        let mut first = WireClient::connect(server.addr()).unwrap();
+        let opened = first.call(&open).unwrap();
+        let served = server.stats().requests_served;
+        // A retrying client sending the same open under the same request
+        // id is answered `session busy` until the first connection dies and
+        // parks the session; then the open replays onto it.
+        let addr = server.addr();
+        let retried = std::thread::spawn(move || {
+            let policy = RetryPolicy {
+                attempts: 200,
+                base_backoff: Duration::from_millis(5),
+                max_backoff: Duration::from_millis(10),
+                ..RetryPolicy::default()
+            };
+            let mut c = WireClient::builder(addr)
+                .recording()
+                .retry(policy)
+                .connect()
+                .unwrap();
+            let reply = c.call(&open).unwrap();
+            (reply, c.transcript().to_vec())
+        });
+        while server.stats().requests_served < served + 2 {
+            std::thread::yield_now();
+        }
+        drop(first);
+        let (reply, transcript) = retried.join().unwrap();
+        assert_eq!(reply, opened, "the retried open is the original reply");
+        let mut frame = Vec::new();
+        wire::encode_reply(&mut frame, 1, wire::Opcode::OpenSession as u16, &opened);
+        assert_eq!(transcript, frame, "busy answers are not recorded");
+        assert_eq!(mgr.stats().opened, 1, "one session, not two");
+        server.shutdown();
+    }
+
+    #[test]
     fn expired_lease_reclaims_the_capacity_slot() {
         let mgr = service_with(SessionManagerConfig {
             max_sessions: 1,
@@ -1780,7 +1803,7 @@ mod tests {
             token_secret: Some((1, 2)),
         });
         let server = Server::start(Arc::clone(&mgr), ServerConfig::default()).unwrap();
-        let mut c1 = WireClient::builder(server.addr()).connect().unwrap();
+        let mut c1 = WireClient::connect(server.addr()).unwrap();
         let open = c1
             .call(&Request::OpenSession {
                 shopper: 1,
@@ -1795,7 +1818,7 @@ mod tests {
 
         // Capacity is 1: a new open succeeds only once the sweep reclaims
         // the parked slot; the sweep runs inside the open path itself.
-        let mut c2 = WireClient::builder(server.addr()).connect().unwrap();
+        let mut c2 = WireClient::connect(server.addr()).unwrap();
         let opened = (0..50)
             .map(|_| {
                 std::thread::sleep(Duration::from_millis(20));
@@ -1834,7 +1857,7 @@ mod tests {
         // Drip half a header and stall.
         let mut loris = WireClient::connect(server.addr()).unwrap();
         loris.send_raw_bytes(&wire::MAGIC.to_le_bytes());
-        loris.send_raw_bytes(&[1, 0]);
+        loris.send_raw_bytes(&wire::PROTOCOL_VERSION.to_le_bytes());
         loris.flush().unwrap();
         // An idle (zero-byte) connection on the same server is NOT timed
         // out: only mid-frame stalls are.
@@ -1853,7 +1876,7 @@ mod tests {
     }
 
     #[test]
-    fn server_side_chaos_still_serves_v1_clients_eventually() {
+    fn server_side_chaos_still_serves_plain_clients_eventually() {
         // Chaos on the server side with only benign faults (fragmented
         // writes + delays): a plain client still completes a session,
         // which pins that the server's frame reassembly and the chaos

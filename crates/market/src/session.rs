@@ -36,7 +36,7 @@ use crate::budget::{Budget, BudgetError};
 use crate::catalog::{DatasetId, DatasetMeta};
 use crate::marketplace::{CatalogSnapshot, Marketplace};
 use crate::query::ProjectionQuery;
-use dance_relation::hash::splitmix64;
+use dance_relation::hash::{derive_seed, splitmix64};
 use dance_relation::{AttrSet, RelationError, Table};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -72,16 +72,12 @@ impl fmt::Display for SessionToken {
     }
 }
 
-/// Per-purchase seed stride (the golden-ratio increment, as in
-/// `dance_core::chain_seed`): purchase `k` of a session seeded `s` draws its
-/// sample with `splitmix64(s ⊕ k·STRIDE)`, so purchase streams are
-/// decorrelated across both sessions and purchase indices while staying a
-/// pure function of `(session seed, purchase index)`.
-const PURCHASE_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The sample-draw seed for purchase number `seq` of a session seeded `seed`.
+/// The sample-draw seed for purchase number `seq` of a session seeded
+/// `seed`: [`derive_seed`], so purchase streams are decorrelated across both
+/// sessions and purchase indices while staying a pure function of
+/// `(session seed, purchase index)`.
 pub fn purchase_seed(seed: u64, seq: u64) -> u64 {
-    splitmix64(seed ^ seq.wrapping_mul(PURCHASE_SEED_STRIDE))
+    derive_seed(seed, seq)
 }
 
 /// Errors surfaced by the session layer.
@@ -473,7 +469,7 @@ impl SessionManager {
     /// replays can recompute it from an observed session id.
     pub fn session_token(&self, id: SessionId) -> SessionToken {
         let (s1, s2) = self.secret;
-        let a = splitmix64(s1 ^ id.0.wrapping_mul(PURCHASE_SEED_STRIDE));
+        let a = derive_seed(s1, id.0);
         let b = splitmix64(s2 ^ id.0.rotate_left(17).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
         SessionToken(a ^ b)
     }

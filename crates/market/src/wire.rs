@@ -7,21 +7,16 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic        0x4543_4E44 ("DNCE" on the wire)
-//!      4     2  version      protocol version of THIS frame (1 or 2)
+//!      4     2  version      protocol version: always 2; anything else is rejected
 //!      6     2  opcode       request opcode; responses set RESP_BIT (0x8000)
 //!      8     8  request id   client-chosen tag echoed on the response
 //!     16     4  payload len  bytes following the header (capped)
 //! ```
 //!
-//! Versioning is **per frame**: the server answers every request at the
-//! version its frame carried, so one connection can mix v1 and v2 traffic
-//! and neither side keeps encode state. v1 and v2 payloads differ only in
-//! the `OpenSession` response, which under v2 appends the session's
-//! resumption token; v2 also adds the [`Opcode::Hello`] handshake
-//! (negotiating version and feature bits) and [`Opcode::ResumeSession`]
-//! (re-attach a parked session to a fresh connection). Clients that never send a
-//! `Hello` keep speaking v1 and observe byte-identical frames to the v1
-//! protocol.
+//! Besides the session operations the protocol carries
+//! [`Opcode::ResumeSession`] (re-attach a parked session to a fresh
+//! connection by the resumption token every `OpenSession` reply carries)
+//! and [`Opcode::Hello`] (an optional version/feature-bit handshake).
 //!
 //! Requests and responses are tagged by `request id`, so a client may keep
 //! many requests in flight on one connection (**pipelining**) and match
@@ -46,7 +41,7 @@
 //! ## Robustness contract
 //!
 //! Decoding hostile input never panics and never over-allocates: header
-//! validation ([`peek_header`]) rejects bad magic, unknown versions and
+//! validation ([`peek_header`]) rejects bad magic, any version but 2 and
 //! payload lengths beyond the declared cap before any payload is read, and
 //! payload decoding bounds every count it reads against the bytes actually
 //! present ([`WireError::Truncated`]).
@@ -60,12 +55,9 @@ use std::fmt;
 /// Frame magic: the bytes `DNCE` once the `u32` is laid out little-endian.
 pub const MAGIC: u32 = 0x4543_4E44;
 
-/// Newest protocol version this build speaks (and the version a `Hello`
-/// negotiates up to).
+/// The protocol version every frame header carries (and the version a
+/// `Hello` negotiates).
 pub const PROTOCOL_VERSION: u16 = 2;
-
-/// Oldest protocol version still accepted in a frame header.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
 
 /// Feature bit: the server parks disconnected sessions and accepts
 /// [`Opcode::ResumeSession`].
@@ -195,8 +187,6 @@ impl std::error::Error for WireError {}
 /// One decoded frame header (magic/version already validated).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// Protocol version this frame is encoded at.
-    pub version: u16,
     /// Raw opcode field (`RESP_BIT` included on responses).
     pub opcode: u16,
     /// Client-chosen request tag.
@@ -274,7 +264,7 @@ pub enum Request {
     },
     /// Re-attach a parked session to this connection.
     Resume {
-        /// The [`crate::session::SessionToken`] from the v2 open reply.
+        /// The [`crate::session::SessionToken`] from the open reply.
         token: u64,
     },
 }
@@ -306,9 +296,7 @@ pub enum Response {
         session: u64,
         /// Catalog version the session pinned.
         version: u64,
-        /// Resumption token ([`crate::session::SessionToken`]). Carried on
-        /// the wire only under protocol v2; v1 frames encode/decode this
-        /// as `0`.
+        /// Resumption token ([`crate::session::SessionToken`]).
         token: u64,
     },
     /// Quoted price.
@@ -362,8 +350,7 @@ pub enum Response {
     },
     /// Handshake accepted.
     Hello {
-        /// Version the server will speak on this connection's v2 frames
-        /// (`min(client version, `[`PROTOCOL_VERSION`]`)`).
+        /// The accepted version: [`PROTOCOL_VERSION`].
         version: u16,
         /// Requested feature bits the server grants.
         features: u32,
@@ -521,13 +508,13 @@ impl Fault {
     }
 
     /// The fault for a `Hello` offering a version older than
-    /// [`MIN_PROTOCOL_VERSION`].
+    /// [`PROTOCOL_VERSION`].
     pub fn unsupported_version(version: u16) -> Fault {
         Fault {
             code: FaultCode::Protocol,
             message: format!(
-                "client version {version} is older than the oldest supported \
-                 version {MIN_PROTOCOL_VERSION}"
+                "client version {version} is older than the supported \
+                 version {PROTOCOL_VERSION}"
             ),
         }
     }
@@ -622,11 +609,11 @@ fn put_str(b: &mut Vec<u8>, s: &str) {
     b.extend_from_slice(s.as_bytes());
 }
 
-/// Append a frame header for `version`/`opcode`/`request_id` with a zero
-/// payload length, returning the payload start offset for [`finish_frame`].
-fn begin_frame(buf: &mut Vec<u8>, version: u16, opcode: u16, request_id: u64) -> usize {
+/// Append a frame header for `opcode`/`request_id` with a zero payload
+/// length, returning the payload start offset for [`finish_frame`].
+fn begin_frame(buf: &mut Vec<u8>, opcode: u16, request_id: u64) -> usize {
     put_u32(buf, MAGIC);
-    put_u16(buf, version);
+    put_u16(buf, PROTOCOL_VERSION);
     put_u16(buf, opcode);
     put_u64(buf, request_id);
     put_u32(buf, 0);
@@ -639,15 +626,9 @@ fn finish_frame(buf: &mut [u8], payload_start: usize) {
     buf[payload_start - 4..payload_start].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Append one encoded request frame to `buf` at protocol v1 (request
-/// payloads are identical across versions; only the header differs).
+/// Append one encoded request frame to `buf`.
 pub fn encode_request(buf: &mut Vec<u8>, request_id: u64, req: &Request) {
-    encode_request_v(buf, MIN_PROTOCOL_VERSION, request_id, req);
-}
-
-/// Append one encoded request frame to `buf` at the given header version.
-pub fn encode_request_v(buf: &mut Vec<u8>, version: u16, request_id: u64, req: &Request) {
-    let start = begin_frame(buf, version, req.opcode() as u16, request_id);
+    let start = begin_frame(buf, req.opcode() as u16, request_id);
     match req {
         Request::OpenSession {
             shopper,
@@ -704,24 +685,11 @@ pub fn encode_request_v(buf: &mut Vec<u8>, version: u16, request_id: u64, req: &
     finish_frame(buf, start);
 }
 
-/// Append one encoded response frame to `buf` at protocol v1. `req_opcode`
-/// is the raw opcode of the request being answered (`0` for
-/// connection-level faults, e.g. a backlog rejection before any request
-/// was read).
+/// Append one encoded response frame to `buf`. `req_opcode` is the raw
+/// opcode of the request being answered (`0` for connection-level faults,
+/// e.g. a backlog rejection before any request was read).
 pub fn encode_reply(buf: &mut Vec<u8>, request_id: u64, req_opcode: u16, reply: &Reply) {
-    encode_reply_v(buf, MIN_PROTOCOL_VERSION, request_id, req_opcode, reply);
-}
-
-/// Append one encoded response frame to `buf` at the given version — the
-/// server always answers at the version the request frame carried.
-pub fn encode_reply_v(
-    buf: &mut Vec<u8>,
-    version: u16,
-    request_id: u64,
-    req_opcode: u16,
-    reply: &Reply,
-) {
-    let start = begin_frame(buf, version, req_opcode | RESP_BIT, request_id);
+    let start = begin_frame(buf, req_opcode | RESP_BIT, request_id);
     match reply {
         Reply::Ok(resp) => {
             debug_assert_eq!(resp.opcode() as u16, req_opcode, "reply/opcode mismatch");
@@ -729,17 +697,12 @@ pub fn encode_reply_v(
             match resp {
                 Response::OpenSession {
                     session,
-                    version: pinned,
+                    version,
                     token,
                 } => {
                     put_u64(buf, *session);
-                    put_u64(buf, *pinned);
-                    // The resumption token is the one payload difference
-                    // between v1 and v2: v1 frames stay byte-identical to
-                    // the pre-token protocol.
-                    if version >= 2 {
-                        put_u64(buf, *token);
-                    }
+                    put_u64(buf, *version);
+                    put_u64(buf, *token);
                 }
                 Response::Quote { price } => put_f64(buf, *price),
                 Response::QuoteBatch { prices } => {
@@ -910,7 +873,7 @@ pub fn peek_header(buf: &[u8], max_payload: u32) -> Result<Option<FrameHeader>, 
         return Err(WireError::BadMagic(magic));
     }
     let version = r.u16().unwrap();
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(WireError::BadVersion(version));
     }
     let opcode = r.u16().unwrap();
@@ -923,7 +886,6 @@ pub fn peek_header(buf: &[u8], max_payload: u32) -> Result<Option<FrameHeader>, 
         });
     }
     Ok(Some(FrameHeader {
-        version,
         opcode,
         request_id,
         payload_len,
@@ -983,15 +945,9 @@ pub fn decode_request(opcode: u16, payload: &[u8]) -> Result<Request, WireError>
     Ok(req)
 }
 
-/// Decode a v1 response payload for the header's raw opcode (which must
-/// carry [`RESP_BIT`]; opcode `RESP_BIT | 0` is a connection-level fault
-/// frame).
+/// Decode a response payload for the header's raw opcode (which must carry
+/// [`RESP_BIT`]; opcode `RESP_BIT | 0` is a connection-level fault frame).
 pub fn decode_reply(opcode: u16, payload: &[u8]) -> Result<Reply, WireError> {
-    decode_reply_v(MIN_PROTOCOL_VERSION, opcode, payload)
-}
-
-/// Decode a response payload at the version its frame header carried.
-pub fn decode_reply_v(version: u16, opcode: u16, payload: &[u8]) -> Result<Reply, WireError> {
     if opcode & RESP_BIT == 0 {
         return Err(WireError::UnknownOpcode(opcode));
     }
@@ -1013,7 +969,7 @@ pub fn decode_reply_v(version: u16, opcode: u16, payload: &[u8]) -> Result<Reply
         Opcode::OpenSession => Response::OpenSession {
             session: r.u64()?,
             version: r.u64()?,
-            token: if version >= 2 { r.u64()? } else { 0 },
+            token: r.u64()?,
         },
         Opcode::Quote => Response::Quote { price: r.f64()? },
         Opcode::QuoteBatch => {
@@ -1143,7 +1099,7 @@ mod tests {
         let buf = frame_of_request(0x0102_0304_0506_0708, &Request::Stats);
         assert_eq!(buf.len(), HEADER_LEN);
         assert_eq!(&buf[0..4], b"DNCE");
-        assert_eq!(&buf[4..6], &1u16.to_le_bytes());
+        assert_eq!(&buf[4..6], &PROTOCOL_VERSION.to_le_bytes());
         assert_eq!(&buf[6..8], &(Opcode::Stats as u16).to_le_bytes());
         assert_eq!(&buf[8..16], &0x0102_0304_0506_0708u64.to_le_bytes());
         assert_eq!(&buf[16..20], &0u32.to_le_bytes());
@@ -1201,7 +1157,7 @@ mod tests {
                 Reply::Ok(Response::OpenSession {
                     session: 8,
                     version: 2,
-                    token: 0,
+                    token: 0xABCD_EF01_2345_6789,
                 }),
             ),
             (Opcode::Quote, Reply::Ok(Response::Quote { price: 1.75 })),
@@ -1296,64 +1252,6 @@ mod tests {
     }
 
     #[test]
-    fn open_reply_carries_the_token_only_under_v2() {
-        let reply = Reply::Ok(Response::OpenSession {
-            session: 8,
-            version: 3,
-            token: 0xABCD_EF01_2345_6789,
-        });
-        // v2 framing roundtrips the token.
-        let mut v2 = Vec::new();
-        encode_reply_v(&mut v2, 2, 9, Opcode::OpenSession as u16, &reply);
-        let h = peek_header(&v2, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
-        assert_eq!(h.version, 2);
-        assert_eq!(
-            decode_reply_v(h.version, h.opcode, &v2[HEADER_LEN..]).unwrap(),
-            reply
-        );
-        // v1 framing drops it: the frame is byte-identical to encoding the
-        // same reply with token 0 (the pre-token wire format).
-        let mut v1 = Vec::new();
-        encode_reply(&mut v1, 9, Opcode::OpenSession as u16, &reply);
-        let mut v1_zero = Vec::new();
-        encode_reply(
-            &mut v1_zero,
-            9,
-            Opcode::OpenSession as u16,
-            &Reply::Ok(Response::OpenSession {
-                session: 8,
-                version: 3,
-                token: 0,
-            }),
-        );
-        assert_eq!(v1, v1_zero);
-        let h = peek_header(&v1, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
-        assert_eq!(h.version, 1);
-        let back = decode_reply_v(h.version, h.opcode, &v1[HEADER_LEN..]).unwrap();
-        let Reply::Ok(Response::OpenSession { token, .. }) = back else {
-            panic!("wrong reply: {back:?}");
-        };
-        assert_eq!(token, 0);
-    }
-
-    #[test]
-    fn both_header_versions_are_accepted_and_surfaced() {
-        for v in [1u16, 2] {
-            let mut buf = Vec::new();
-            encode_request_v(&mut buf, v, 1, &Request::Stats);
-            let h = peek_header(&buf, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
-            assert_eq!(h.version, v);
-        }
-        let mut buf = Vec::new();
-        encode_request(&mut buf, 1, &Request::Stats);
-        buf[4..6].copy_from_slice(&0u16.to_le_bytes());
-        assert_eq!(
-            peek_header(&buf, DEFAULT_MAX_PAYLOAD),
-            Err(WireError::BadVersion(0))
-        );
-    }
-
-    #[test]
     fn encoding_is_deterministic() {
         let req = Request::Quote {
             session: 5,
@@ -1384,12 +1282,16 @@ mod tests {
             peek_header(&buf, DEFAULT_MAX_PAYLOAD),
             Err(WireError::BadMagic(_))
         ));
-        let mut buf = frame_of_request(1, &Request::Stats);
-        buf[4] = 9;
-        assert_eq!(
-            peek_header(&buf, DEFAULT_MAX_PAYLOAD),
-            Err(WireError::BadVersion(9))
-        );
+        // The retired version 1, a never-issued 0 and a future 9 are all
+        // rejected at the header.
+        for v in [1u16, 0, 9] {
+            let mut buf = frame_of_request(1, &Request::Stats);
+            buf[4..6].copy_from_slice(&v.to_le_bytes());
+            assert_eq!(
+                peek_header(&buf, DEFAULT_MAX_PAYLOAD),
+                Err(WireError::BadVersion(v))
+            );
+        }
     }
 
     #[test]
@@ -1572,7 +1474,6 @@ mod tests {
             #[test]
             fn reply_roundtrip_holds(
                 op in 0usize..10,
-                version in 1u16..=2,
                 a in 0u64..u64::MAX,
                 b in 0u64..u64::MAX,
                 price in 0.0f64..1e6,
@@ -1583,9 +1484,7 @@ mod tests {
                     0 => (Opcode::OpenSession, Response::OpenSession {
                         session: a,
                         version: b,
-                        // v1 framing drops the token, so a roundtrip only
-                        // holds when it is 0 at v1.
-                        token: if version >= 2 { b ^ a } else { 0 },
+                        token: b ^ a,
                     }),
                     1 => (Opcode::Quote, Response::Quote { price }),
                     2 => (Opcode::QuoteBatch, Response::QuoteBatch {
@@ -1619,11 +1518,10 @@ mod tests {
                     _ => Reply::Ok(resp),
                 };
                 let mut buf = Vec::new();
-                encode_reply_v(&mut buf, version, a, opcode as u16, &reply);
+                encode_reply(&mut buf, a, opcode as u16, &reply);
                 let h = peek_header(&buf, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
-                prop_assert_eq!(h.version, version);
                 prop_assert_eq!(h.opcode, opcode as u16 | RESP_BIT);
-                let back = decode_reply_v(h.version, h.opcode, &buf[HEADER_LEN..]).unwrap();
+                let back = decode_reply(h.opcode, &buf[HEADER_LEN..]).unwrap();
                 prop_assert_eq!(back, reply);
             }
         }

@@ -102,13 +102,25 @@ pub fn stable_hash64<T: Hash + ?Sized>(seed: u64, value: &T) -> u64 {
     splitmix64(h.finish())
 }
 
+/// The 64-bit golden-ratio constant `⌊2⁶⁴/φ⌋`: splitmix64's increment, and
+/// the stride every seed derivation in the workspace multiplies by.
+pub const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// SplitMix64 finalizer; full-avalanche bijection on `u64`.
 #[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = z.wrapping_add(GOLDEN);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// Sub-seed `k` of `base`: `splitmix64(base ⊕ k·GOLDEN)`. Decorrelates a
+/// sequence of indices (purchases, retries, connections) under one seed
+/// while staying a pure function of `(base, k)`.
+#[inline]
+pub fn derive_seed(base: u64, k: u64) -> u64 {
+    splitmix64(base ^ k.wrapping_mul(GOLDEN))
 }
 
 /// Map a 64-bit hash uniformly onto `[0, 1)` (53 mantissa bits are used).
@@ -145,6 +157,16 @@ mod tests {
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean = {mean}");
         assert!(lo < 0.01 && hi > 0.99);
+    }
+
+    #[test]
+    fn derive_seed_is_the_xor_golden_recipe() {
+        for (base, k) in [(0u64, 0u64), (7, 1), (u64::MAX, 3), (0xC0FFEE, 1 << 40)] {
+            assert_eq!(
+                derive_seed(base, k),
+                splitmix64(base ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            );
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@ use std::sync::{Arc, Barrier};
 
 use dance::market::wire::{self, Reply, Request, Response};
 use dance::market::{
-    CatalogSnapshot, DatasetId, FaultCode, RateLimit, Server, ServerConfig, SessionManager,
-    SessionManagerConfig, WireClient,
+    CatalogSnapshot, DatasetId, FaultCode, RateLimit, Server, ServerConfig, SessionId,
+    SessionManager, SessionManagerConfig, WireClient,
 };
 use dance::prelude::*;
 use dance::relation::TableDelta;
@@ -175,7 +175,7 @@ fn replay_transcript(mgr: &SessionManager, run: &ClientRun, snapshot: CatalogSna
         Response::OpenSession {
             session: run.wire_session,
             version: session.pinned_version(),
-            token: 0,
+            token: mgr.session_token(SessionId(run.wire_session)).0,
         },
         &mut expected,
         &mut next_id,
