@@ -634,9 +634,15 @@ fn tpch_search_setup(workers: usize, caps: usize, ts: &[Table]) -> SearchSetup {
 
 /// `find_optimal_target_graph` throughput (a full seeded walk per
 /// iteration): the uncached reference path vs the incremental engine with
-/// cold caches (cleared per iteration) vs warm caches (persisting across
-/// iterations — the steady state of `Dance::search`), at 1 and 4 workers,
-/// on the two-key toy graph and a scale-100 TPC-H pair.
+/// cold caches vs warm caches, at 1 and 4 workers, on the two-key toy graph
+/// and a scale-100 TPC-H pair.
+///
+/// * `*_cold` clears every evaluation cache per iteration through
+///   `clear_eval_caches` — selections, projections, prices *and* the
+///   graph's evaluation memo — so each walk evaluates every state it visits.
+/// * `*_warm` keeps all of them across iterations, the steady state of a
+///   repeated `Dance::search` request: the same seeded walk replays from
+///   the evaluation memo, so these arms measure memo hits.
 fn bench_mcmc_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("mcmc_search");
     let ts = par_tables();
@@ -696,13 +702,15 @@ fn bench_mcmc_search(c: &mut Criterion) {
 }
 
 /// Multi-chain search scaling: 1/2/4/8 chains at 1 and 4 workers on the
-/// two-key toy graph and the scale-100 TPC-H `lineitem ⋈ partsupp` pair,
-/// warm shared caches throughout. The `seqref` arms run the same N chains
-/// strictly sequentially (independent chains-1 searches with the derived
-/// seeds) at 1 worker — the fan-out's overhead budget is measured against
-/// them: N-chain at 1 worker must stay within ~15% of seqref-N, and the
-/// shared memo should push it *below* on the TPC-H pair where evaluations
-/// dominate.
+/// two-key toy graph and the scale-100 TPC-H `lineitem ⋈ partsupp` pair.
+/// The `seqref` arms run the same N chains strictly sequentially
+/// (independent chains-1 searches with the derived seeds) at 1 worker — the
+/// fan-out's overhead budget is measured against them: N-chain at 1 worker
+/// must stay within ~15% of seqref-N. Every iteration of every arm starts
+/// from `clear_eval_caches`, so the graph's evaluation memo only shares
+/// evaluations *between the chains of one search* (or one seqref sweep) and
+/// never carries hits over from the previous iteration — the arms measure
+/// the fan-out, not a replay.
 fn bench_mcmc_multichain(c: &mut Criterion) {
     // Full multi-chain searches are seconds each on the TPC-H pair; a
     // smaller sample keeps the CI smoke bounded.
@@ -716,12 +724,22 @@ fn bench_mcmc_multichain(c: &mut Criterion) {
             g.bench_with_input(
                 BenchmarkId::new("two_key", format!("{chains}c{workers}w")),
                 &(&two_key, chains),
-                |b, (s, n)| b.iter(|| s.run_seeded(17, *n, 40)),
+                |b, (s, n)| {
+                    b.iter(|| {
+                        s.graph.clear_eval_caches();
+                        s.run_seeded(17, *n, 40)
+                    })
+                },
             );
             g.bench_with_input(
                 BenchmarkId::new("tpch_li_ps", format!("{chains}c{workers}w")),
                 &(&tpch, chains),
-                |b, (s, n)| b.iter(|| s.run_seeded(17, *n, 8)),
+                |b, (s, n)| {
+                    b.iter(|| {
+                        s.graph.clear_eval_caches();
+                        s.run_seeded(17, *n, 8)
+                    })
+                },
             );
             // Sequential reference: the same chains run one after another
             // as independent searches, at 1 worker only.
@@ -731,6 +749,7 @@ fn bench_mcmc_multichain(c: &mut Criterion) {
                     &(&two_key, chains),
                     |b, (s, n)| {
                         b.iter(|| {
+                            s.graph.clear_eval_caches();
                             for k in 0..*n {
                                 s.run_seeded(dance_core::chain_seed(17, k), 1, 40);
                             }
@@ -742,6 +761,7 @@ fn bench_mcmc_multichain(c: &mut Criterion) {
                     &(&tpch, chains),
                     |b, (s, n)| {
                         b.iter(|| {
+                            s.graph.clear_eval_caches();
                             for k in 0..*n {
                                 s.run_seeded(dance_core::chain_seed(17, k), 1, 8);
                             }

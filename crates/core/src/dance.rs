@@ -20,12 +20,19 @@
 //!
 //! The MCMC search additionally rides the graph's bounded evaluation caches
 //! (see `crate::mcmc`'s module docs): per-hop pair selections, projected
-//! sample tables and price estimates persist inside the [`JoinGraph`] across
-//! proposals *and* across `search` calls, and [`Dance::refine`] invalidates
-//! exactly the refreshed instances' entries via
+//! sample tables, price estimates and whole evaluated target graphs persist
+//! inside the [`JoinGraph`] across proposals, chains *and* `search` calls —
+//! a repeated request replays its walks from the evaluation memo. Seller
+//! updates ([`Dance::apply_sample_delta`]) bump the touched instance's sample
+//! generation, which strands its memo entries without a sweep;
+//! [`Dance::refine`] sweeps exactly the refreshed instances' entries via
 //! [`JoinGraph::refresh_sample`]. Caching never changes a search result —
 //! plans, metrics and seeded reports are byte-identical with
 //! `McmcConfig::incremental` on or off.
+//!
+//! Step 1's landmark index depends only on the graph's I-edge weights and
+//! the fixed config, so the middleware builds it once in [`Dance::offline`]
+//! and rebuilds it only when weights change (refinement, seller deltas).
 
 use crate::igraph::minimal_igraph;
 use crate::join_graph::{JoinGraph, JoinGraphConfig};
@@ -83,6 +90,9 @@ impl Default for DanceConfig {
 #[derive(Debug)]
 pub struct Dance {
     graph: JoinGraph,
+    /// Step 1's landmark index over `graph`, rebuilt whenever its edge
+    /// weights change.
+    landmarks: LandmarkIndex,
     free: FxHashSet<u32>,
     /// Per vertex: marketplace identity, or `None` for shopper-owned sources.
     dataset_ids: Vec<Option<(DatasetId, String)>>,
@@ -128,6 +138,7 @@ impl Dance {
         }
         let graph = JoinGraph::build(metas, samples, *market_pricing(), &cfg.graph)?;
         Ok(Dance {
+            landmarks: LandmarkIndex::build(&graph, cfg.landmarks, cfg.seed),
             graph,
             free,
             dataset_ids,
@@ -201,7 +212,6 @@ impl Dance {
         if scovers.is_empty() || tcovers.is_empty() {
             return Ok(None);
         }
-        let lm = LandmarkIndex::build(&self.graph, self.cfg.landmarks, self.cfg.seed);
 
         // Step 1 per cover pair.
         let mut candidates: Vec<(f64, crate::igraph::IGraph, &Cover, &Cover)> = Vec::new();
@@ -218,7 +228,7 @@ impl Dance {
                 }
                 for ig in crate::igraph::candidate_igraphs(
                     &self.graph,
-                    &lm,
+                    &self.landmarks,
                     &required,
                     req.constraints.alpha,
                 ) {
@@ -261,7 +271,6 @@ impl Dance {
     pub fn probe_igraph(&self, req: &AcquisitionRequest) -> Option<(usize, f64)> {
         let scovers = self.covers_of(&req.source_attrs);
         let tcovers = self.covers_of(&req.target_attrs);
-        let lm = LandmarkIndex::build(&self.graph, self.cfg.landmarks, self.cfg.seed);
         let mut best: Option<(usize, f64)> = None;
         for sc in &scovers {
             for tc in &tcovers {
@@ -271,8 +280,12 @@ impl Dance {
                 if required.is_empty() {
                     continue;
                 }
-                if let Some(ig) = minimal_igraph(&self.graph, &lm, &required, req.constraints.alpha)
-                {
+                if let Some(ig) = minimal_igraph(
+                    &self.graph,
+                    &self.landmarks,
+                    &required,
+                    req.constraints.alpha,
+                ) {
                     if best.is_none_or(|(_, w)| ig.total_weight < w) {
                         best = Some((ig.size(), ig.total_weight));
                     }
@@ -288,9 +301,17 @@ impl Dance {
     /// The delta describes row changes *to the sample*; when the seller
     /// publishes a full-dataset delta via `Marketplace::apply_update`, the
     /// shopper derives the sample-level delta from the rows its sample
-    /// holds.
+    /// holds. The delta re-weighs `v`'s incident edges, so the landmark
+    /// index is rebuilt after it.
     pub fn apply_sample_delta(&mut self, v: u32, delta: &TableDelta) -> Result<()> {
-        self.graph.apply_delta(v, delta)
+        self.graph.apply_delta(v, delta)?;
+        self.rebuild_landmarks();
+        Ok(())
+    }
+
+    /// Rebuild Step 1's landmark index after the graph's weights changed.
+    fn rebuild_landmarks(&mut self) {
+        self.landmarks = LandmarkIndex::build(&self.graph, self.cfg.landmarks, self.cfg.seed);
     }
 
     /// Buy fresh samples at a higher rate and refresh the graph (§2.1's
@@ -306,6 +327,7 @@ impl Dance {
             self.sample_cost += cost;
             self.graph.refresh_sample(v, sample)?;
         }
+        self.rebuild_landmarks();
         Ok(())
     }
 
@@ -533,6 +555,25 @@ mod tests {
             d.current_rate() > rate_before,
             "refinement bought more samples"
         );
+    }
+
+    /// The held landmark index tracks the graph: after a seller delta, and
+    /// after refinement, it equals a freshly built index.
+    #[test]
+    fn held_landmark_index_equals_a_fresh_build() {
+        let (market, sources) = setup();
+        let cfg = config();
+        let mut d = Dance::offline(&market, sources, cfg.clone()).unwrap();
+        let fresh = |d: &Dance| LandmarkIndex::build(&d.graph, cfg.landmarks, cfg.seed);
+        assert_eq!(d.landmarks, fresh(&d));
+        let before = fresh(&d);
+        let n = d.graph.sample(0).num_rows() as u32;
+        d.apply_sample_delta(0, &TableDelta::new(vec![], (0..n).step_by(2).collect()))
+            .unwrap();
+        assert_ne!(fresh(&d), before, "the delta moved the edge weights");
+        assert_eq!(d.landmarks, fresh(&d));
+        d.refine(&market).unwrap();
+        assert_eq!(d.landmarks, fresh(&d));
     }
 
     #[test]

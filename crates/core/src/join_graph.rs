@@ -41,6 +41,7 @@
 //! `build`/`refresh_sample`.
 
 use crate::cache::{ShardedLru, StampedLru};
+use crate::mcmc::{EvalKey, TargetGraph};
 use dance_info::ji::{ji_from_sym_counts, PairPartials};
 use dance_market::{DatasetMeta, EntropyPricing, PricingModel};
 use dance_relation::sel::pair_sel_with;
@@ -75,6 +76,12 @@ pub const DEFAULT_PROJ_CACHE_CAP: usize = 256;
 /// (`apply_delta`'s incident-edge JI maintenance state).
 pub const DEFAULT_PARTIALS_CACHE_CAP: usize = 256;
 
+/// Default bound on the MCMC evaluation memo (`(walk context, assignment)
+/// → TargetGraph`), spread over 16 shards of 256. A TPC-H shopper's whole
+/// request pool evaluates a few hundred distinct target graphs, so the
+/// steady state fits with room for the generations seller updates strand.
+pub const DEFAULT_EVAL_MEMO_CAP: usize = 4096;
+
 /// Construction knobs for [`JoinGraph::build`].
 #[derive(Debug, Clone, Copy)]
 pub struct JoinGraphConfig {
@@ -102,6 +109,12 @@ pub struct JoinGraphConfig {
     /// updates (stamped-LRU; 0 disables). An evicted pair transparently falls
     /// back to the patched-histogram fold — same bits, more work per delta.
     pub partials_cache_cap: usize,
+    /// Upper bound on the MCMC evaluation memo: fully evaluated target
+    /// graphs keyed by *(walk context, assignment)*, shared by every walk,
+    /// chain and request on this graph (stamped-LRU, sharded like the
+    /// selection cache; 0 disables). An entry is about 1 KiB on the TPC-H
+    /// workloads, so the default bounds the memo to a few MiB.
+    pub eval_memo_cap: usize,
 }
 
 impl Default for JoinGraphConfig {
@@ -113,6 +126,7 @@ impl Default for JoinGraphConfig {
             sel_cache_cap: DEFAULT_SEL_CACHE_CAP,
             proj_cache_cap: DEFAULT_PROJ_CACHE_CAP,
             partials_cache_cap: DEFAULT_PARTIALS_CACHE_CAP,
+            eval_memo_cap: DEFAULT_EVAL_MEMO_CAP,
         }
     }
 }
@@ -296,6 +310,13 @@ pub struct JoinGraph {
     /// filled lazily by whichever evaluation path first needs it. Same
     /// sharding, bounding and staleness rules as `sel_cache`.
     pub(crate) proj_cache: ShardedLru<(u32, u64, AttrSet), ProjEntry>,
+    /// The MCMC evaluation memo: `(walk context, assignment) → TargetGraph`
+    /// (see `crate::mcmc`'s module docs). The walk context embeds the
+    /// sample generations of every instance the walk reads, so a delta or
+    /// refresh strands stale entries without a sweep on the update path;
+    /// [`Self::refresh_sample`] still sweeps them eagerly, like the other
+    /// caches. Bounded by [`JoinGraphConfig::eval_memo_cap`].
+    pub(crate) eval_memo: ShardedLru<EvalKey, Arc<TargetGraph>>,
 }
 
 /// Selection-cache key: `(probe instance, probe generation, build instance,
@@ -430,6 +451,7 @@ impl JoinGraph {
             partials: StampedLru::new(cfg.partials_cache_cap),
             sel_cache: ShardedLru::new(cfg.sel_cache_cap),
             proj_cache: ShardedLru::new(cfg.proj_cache_cap),
+            eval_memo: ShardedLru::new(cfg.eval_memo_cap),
         })
     }
 
@@ -483,6 +505,7 @@ impl JoinGraph {
         self.partials.retain(|&(a, b, _)| a != i && b != i);
         self.sel_cache.retain(|&(a, _, b, _, _)| a != i && b != i);
         self.proj_cache.retain(|&(v, _, _)| v != i);
+        self.eval_memo.retain(|k| !k.reads(i));
         let exec = self.exec;
         let incident: Vec<u32> = self.adj[i as usize].clone();
 
@@ -737,15 +760,29 @@ impl JoinGraph {
         self.proj_cache.stats()
     }
 
-    /// Drop every cached selection, projection and price (every shard of
-    /// both caches) — the cold-path baseline for benches and the
-    /// fresh-vs-cached pinning tests. Production code never needs this:
-    /// stale entries are unreachable by construction (cache keys embed the
-    /// sample generations they were built against), so correctness never
-    /// depends on clearing anything.
+    /// Entries currently held by the MCMC evaluation memo, aggregated
+    /// across shards (bounded by [`JoinGraphConfig::eval_memo_cap`]).
+    pub fn eval_memo_len(&self) -> usize {
+        self.eval_memo.len()
+    }
+
+    /// Lifetime `(hits, misses)` of the MCMC evaluation memo, summed over
+    /// shards (relaxed counters; observability only). The uncached
+    /// reference walk (`McmcConfig::incremental = false`) never looks it up.
+    pub fn eval_memo_stats(&self) -> (u64, u64) {
+        self.eval_memo.stats()
+    }
+
+    /// Drop every cached selection, projection, price and memoized target
+    /// graph (every shard of all three caches) — the cold-path baseline for
+    /// benches and the fresh-vs-cached pinning tests. Production code never
+    /// needs this: stale entries are unreachable by construction (cache keys
+    /// embed the sample generations they were built against), so
+    /// correctness never depends on clearing anything.
     pub fn clear_eval_caches(&self) {
         self.sel_cache.retain(|_| false);
         self.proj_cache.retain(|_| false);
+        self.eval_memo.retain(|_| false);
     }
 
     /// The executor the graph was built on — evaluation call sites
@@ -1203,7 +1240,8 @@ mod tests {
         }
     }
 
-    /// `clear_eval_caches` resets to the cold state; recomputation after a
+    /// `clear_eval_caches` resets to the cold state — selections,
+    /// projections, prices and the evaluation memo; recomputation after a
     /// clear equals the original values.
     #[test]
     fn clear_eval_caches_is_transparent() {
@@ -1211,15 +1249,76 @@ mod tests {
         let on = AttrSet::from_names(["jg_b"]);
         let first = g.pair_sel(0, 1, &on).unwrap();
         let price = g.price_for_eval(0, &on, None).unwrap();
+        let search = || {
+            let mut sc = crate::target::Cover::new();
+            sc.insert(0, AttrSet::from_names(["jg_x"]));
+            let mut tc = crate::target::Cover::new();
+            tc.insert(1, AttrSet::from_names(["jg_y"]));
+            crate::mcmc::find_optimal_target_graph(
+                &g,
+                &FxHashSet::default(),
+                &[(0, 1)],
+                &sc,
+                &tc,
+                &AttrSet::from_names(["jg_x"]),
+                &AttrSet::from_names(["jg_y"]),
+                &crate::request::Constraints::unbounded(),
+                &crate::mcmc::McmcConfig {
+                    iterations: 20,
+                    ..crate::mcmc::McmcConfig::default()
+                },
+            )
+            .unwrap()
+            .expect("unconstrained search finds a plan")
+        };
+        let plan = search();
         assert!(g.sel_cache_len() > 0 && g.proj_cache_len() > 0);
+        assert!(g.eval_memo_len() > 0, "the walk filled the memo");
         g.clear_eval_caches();
         assert_eq!(g.sel_cache_len() + g.proj_cache_len(), 0);
+        assert_eq!(g.eval_memo_len(), 0);
         let again = g.pair_sel(0, 1, &on).unwrap();
         assert_eq!(again.num_matches(), first.num_matches());
         assert_eq!(
             g.price_for_eval(0, &on, None).unwrap().to_bits(),
             price.to_bits()
         );
+        let misses = g.eval_memo_stats().1;
+        let replanned = search();
+        assert!(g.eval_memo_stats().1 > misses, "cleared memo misses again");
+        assert_eq!(replanned.join_attrs, plan.join_attrs);
+        assert_eq!(replanned.corr.to_bits(), plan.corr.to_bits());
+        assert_eq!(replanned.quality.to_bits(), plan.quality.to_bits());
+        assert_eq!(replanned.price.to_bits(), plan.price.to_bits());
+    }
+
+    /// `refresh_sample(i)` sweeps exactly the memo entries whose walk read
+    /// `i`; entries of walks that never touched `i` stay warm.
+    #[test]
+    fn refresh_sample_sweeps_memo_entries_reading_the_instance() {
+        let mut g = toy_graph();
+        let mut sc = crate::target::Cover::new();
+        sc.insert(0, AttrSet::from_names(["jg_x"]));
+        let mut tc = crate::target::Cover::new();
+        tc.insert(1, AttrSet::from_names(["jg_y"]));
+        crate::mcmc::find_optimal_target_graph(
+            &g,
+            &FxHashSet::default(),
+            &[(0, 1)],
+            &sc,
+            &tc,
+            &AttrSet::from_names(["jg_x"]),
+            &AttrSet::from_names(["jg_y"]),
+            &crate::request::Constraints::unbounded(),
+            &crate::mcmc::McmcConfig::default(),
+        )
+        .unwrap();
+        let held = g.eval_memo_len();
+        assert!(held > 0);
+        g.refresh_sample(2, g.samples[2].clone()).unwrap();
+        assert_eq!(g.eval_memo_len(), held, "instance 2 was not read");
+        g.refresh_sample(1, g.samples[1].clone()).unwrap();
+        assert_eq!(g.eval_memo_len(), 0, "every entry read instance 1");
     }
 
     #[test]

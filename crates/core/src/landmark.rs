@@ -19,7 +19,7 @@ use std::collections::BinaryHeap;
 const NO_PARENT: u32 = u32::MAX;
 
 /// Precomputed shortest-path trees to a set of landmarks.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct LandmarkIndex {
     /// The chosen landmark vertices.
     pub landmarks: Vec<u32>,

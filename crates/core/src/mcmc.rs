@@ -34,21 +34,29 @@
 //!   the flipped edge's endpoints recompute, and the final price/weight
 //!   folds re-run over the cached components in canonical order, so every
 //!   float is bit-equal to a fresh full re-sum.
-//! * **Evaluation memo** — full [`TargetGraph`]s memoized per assignment
-//!   (stamped-LRU, [`McmcConfig::eval_memo_cap`]), so a revisited state
-//!   costs one hash lookup.
+//! * **Evaluation memo** — full [`TargetGraph`]s memoized in the
+//!   [`JoinGraph`] itself, keyed by *(walk context, assignment)*: the context
+//!   is everything an evaluation reads besides the assignment (tree, its
+//!   candidate join sets, covers, AS/AT, the participating vertices' free
+//!   flags and sample generations, the re-sampling and TANE settings),
+//!   hashed once per walk. A revisited state costs one hash lookup — in the
+//!   same walk, in another chain, or in a later request that walks the same
+//!   tree. The sample generations in the key make entries for replaced
+//!   samples unreachable, so seller updates sweep nothing
+//!   ([`crate::join_graph::JoinGraphConfig::eval_memo_cap`] bounds it).
 //!
 //! §3.2 re-sampling keeps firing on the *composed* selection via
 //! [`dance_sampling::resample::BoundedHook`] with unchanged step/seed
 //! derivation, so seeded experiment reports stay byte-identical.
 
-use crate::cache::{ShardedLru, StampedLru};
+use crate::cache::StampedLru;
 use crate::join_graph::JoinGraph;
 use crate::request::Constraints;
 use crate::target::Cover;
 use dance_info::correlation::{correlation_with, CorrOptions};
 use dance_info::ji::join_informativeness;
 use dance_quality::tane::TaneConfig;
+use dance_relation::hash::stable_hash64;
 use dance_relation::join::JoinEdge;
 use dance_relation::sel::TreeJoin;
 use dance_relation::{AttrSet, FxHashMap, FxHashSet, RelationError, Result, Table};
@@ -56,10 +64,8 @@ use dance_sampling::resample::{join_tree_bounded_with, BoundedHook, ResampleConf
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-
-/// Default bound on the per-walk evaluation memo.
-pub const DEFAULT_EVAL_MEMO_CAP: usize = 512;
 
 /// Tuning for Algorithm 1.
 #[derive(Debug, Clone)]
@@ -73,16 +79,13 @@ pub struct McmcConfig {
     /// AFD discovery settings for the quality estimate (Def 2.3).
     pub tane: TaneConfig,
     /// Evaluate proposals through the incremental engine (cached per-hop
-    /// selections, cached projections/prices, per-walk memo). `false`
-    /// re-runs the full [`evaluate_assignment`] pipeline per proposal — the
-    /// reference the pinning tests compare bit-exact and the uncached bench
-    /// baseline. Both paths visit identical states: evaluation caching never
-    /// changes a single proposal, acceptance, or report byte.
+    /// selections, cached projections/prices, the graph's evaluation memo).
+    /// `false` re-runs the full [`evaluate_assignment`] pipeline per
+    /// proposal, touching no memo — the reference the pinning tests compare
+    /// bit-exact and the uncached bench baseline. Both paths visit identical
+    /// states: evaluation caching never changes a single proposal,
+    /// acceptance, or report byte.
     pub incremental: bool,
-    /// Stamped-LRU bound on the per-walk `assignment → TargetGraph` memo
-    /// (0 disables memoization; hop/projection caches still apply). With
-    /// more than one chain this also bounds the memo *shared* across chains.
-    pub eval_memo_cap: usize,
     /// Number of independent MCMC chains ([`crate::multichain`]). `1` (the
     /// default) is the plain single-chain walk; `N > 1` runs N independently
     /// seeded chains — seeds derived per chain index from [`Self::seed`] —
@@ -111,7 +114,6 @@ impl Default for McmcConfig {
                 max_attrs: 12,
             },
             incremental: true,
-            eval_memo_cap: DEFAULT_EVAL_MEMO_CAP,
             chains: 1,
             temperature_step: 0.0,
         }
@@ -343,16 +345,76 @@ fn eval_corr(
     Ok(raw * n / (n + 20.0))
 }
 
+/// Everything one walk's evaluations read besides the assignment: with the
+/// candidate indices it determines a [`TargetGraph`] bit for bit, so it is
+/// the first half of the graph's evaluation-memo key ([`EvalKey`]).
+///
+/// Built once per walk by [`EvalEngine::new`], which also hashes it once;
+/// the engine then reads the tree, candidates, covers and vertex order back
+/// from it. The participating vertices' sample generations stand for their
+/// samples, histograms and Property 4.1 weights (all of which a generation
+/// bump replaces), and their free flags for the price fold's exemptions.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct WalkContext {
+    /// `stable_hash64` of the fields below — all a key hashes of its
+    /// context. First, so a mismatching context usually fails equality on
+    /// one word.
+    hash: u64,
+    tree_edges: Vec<(u32, u32)>,
+    /// Candidate join sets per tree edge.
+    cands: Vec<Vec<AttrSet>>,
+    source_cover: Cover,
+    target_cover: Cover,
+    source_attrs: AttrSet,
+    target_attrs: AttrSet,
+    /// Participating vertices, ascending (= the reference's projection
+    /// iteration order).
+    vertices: Vec<u32>,
+    /// Per participating vertex: `(free, sample generation)`.
+    vertex_state: Vec<(bool, u64)>,
+    /// §3.2 re-sampling (`on`, η, rate, seed) and TANE (θ, max LHS, max
+    /// attributes) settings, floats as bits.
+    settings: [u64; 7],
+}
+
+impl Hash for WalkContext {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Hash seed of [`WalkContext::hash`] (any fixed value works).
+const WALK_CONTEXT_SEED: u64 = 0xE7A1_C0DE_3E30_0001;
+
+/// Evaluation-memo key: one assignment (candidate index per tree edge) plus
+/// its walk's context. A lookup hashes the indices and the context's
+/// precomputed hash; equality compares the indices, then the context `Arc`
+/// by pointer (every lookup within one walk) and otherwise field by field,
+/// so two walks only ever share entries whose evaluation inputs are equal.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct EvalKey {
+    idxs: Box<[u32]>,
+    ctx: Arc<WalkContext>,
+}
+
+impl EvalKey {
+    /// `true` when this entry's walk reads instance `i` —
+    /// [`JoinGraph::refresh_sample`] sweeps those entries out of the memo.
+    pub(crate) fn reads(&self, i: u32) -> bool {
+        self.ctx.vertices.binary_search(&i).is_ok()
+    }
+}
+
 /// The incremental evaluation engine behind [`find_optimal_target_graph`].
 ///
-/// Everything invariant across the walk is computed once at construction:
-/// the participating vertex order (and its position map, replacing the
-/// retired O(n) scan per edge endpoint), and the candidate list per edge.
-/// Per evaluation, hop selections come from the graph's [`PairSel`] cache,
-/// projected tables and prices from its projection cache, and whole
-/// [`TargetGraph`]s from a per-walk stamped-LRU memo keyed by the assignment
-/// (as candidate indices) — so a revisited state costs one hash lookup and a
-/// fresh state re-probes only hops no cached selection covers.
+/// Everything invariant across the walk lives in its [`WalkContext`],
+/// computed once at construction, together with the vertex position map.
+/// Per evaluation, whole [`TargetGraph`]s come from the graph's evaluation
+/// memo keyed by *(context, assignment)*, hop selections from its
+/// [`PairSel`](dance_relation::PairSel) cache, and projected tables and
+/// prices from its projection cache — so a revisited state (in this walk,
+/// another chain, or an earlier request over the same tree) costs one hash
+/// lookup and a fresh state re-probes only hops no cached selection covers.
 ///
 /// Weight and price are folded from cached per-component values (a
 /// Property 4.1 lookup per edge, a cached price per vertex): a proposal only
@@ -363,30 +425,11 @@ fn eval_corr(
 pub(crate) struct EvalEngine<'a> {
     graph: &'a JoinGraph,
     free: &'a FxHashSet<u32>,
-    tree_edges: &'a [(u32, u32)],
-    /// Candidate join sets per edge, fetched once before the walk.
-    cands: Vec<&'a [AttrSet]>,
-    source_cover: &'a Cover,
-    target_cover: &'a Cover,
-    source_attrs: &'a AttrSet,
-    target_attrs: &'a AttrSet,
     resample: Option<&'a ResampleConfig>,
     tane: &'a TaneConfig,
-    /// Participating vertices, ascending (= the reference's projection
-    /// iteration order).
-    vertices: Vec<u32>,
-    /// vertex id → position in `vertices` (the prebuilt index map).
+    ctx: Arc<WalkContext>,
+    /// vertex id → position in `ctx.vertices` (the prebuilt index map).
     pos: FxHashMap<u32, usize>,
-    /// Assignment (candidate indices) → fully evaluated target graph
-    /// (unused when a cross-chain `shared_memo` is plugged in).
-    memo: StampedLru<Box<[u32]>, TargetGraph>,
-    /// Multi-chain mode: a concurrent memo shared read-mostly across all
-    /// chains of one search, replacing the private `memo`. Safe to share
-    /// because a [`TargetGraph`] is a pure function of the assignment (the
-    /// candidate index space is common to all chains, and §3.2 re-sampling
-    /// seeds derive from the composed selection, not the walk RNG) — a hit
-    /// from another chain is bit-identical to a local recomputation.
-    shared_memo: Option<&'a ShardedLru<Box<[u32]>, TargetGraph>>,
     /// `(edge, candidate index, probe base)` → the graph's cached pair
     /// selection, held locally so repeat hops skip the graph lock *and* the
     /// attr-set key clone. Entries are `Arc` handles into
@@ -402,14 +445,13 @@ impl<'a> EvalEngine<'a> {
     fn new(
         graph: &'a JoinGraph,
         free: &'a FxHashSet<u32>,
-        tree_edges: &'a [(u32, u32)],
-        cands: Vec<&'a [AttrSet]>,
-        source_cover: &'a Cover,
-        target_cover: &'a Cover,
-        source_attrs: &'a AttrSet,
-        target_attrs: &'a AttrSet,
+        tree_edges: &[(u32, u32)],
+        cands: &[&[AttrSet]],
+        source_cover: &Cover,
+        target_cover: &Cover,
+        source_attrs: &AttrSet,
+        target_attrs: &AttrSet,
         cfg: &'a McmcConfig,
-        shared_memo: Option<&'a ShardedLru<Box<[u32]>, TargetGraph>>,
     ) -> Result<EvalEngine<'a>> {
         let mut vs: FxHashSet<u32> = FxHashSet::default();
         for &(a, b) in tree_edges {
@@ -426,27 +468,53 @@ impl<'a> EvalEngine<'a> {
         vertices.sort_unstable();
         let pos: FxHashMap<u32, usize> =
             vertices.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let vertex_state = vertices
+            .iter()
+            .map(|v| (free.contains(v), graph.sample_gen(*v)))
+            .collect();
+        let rs = cfg.resample.unwrap_or_default();
+        let settings = [
+            u64::from(cfg.resample.is_some()),
+            rs.eta as u64,
+            rs.rate.to_bits(),
+            rs.seed,
+            cfg.tane.error_threshold.to_bits(),
+            cfg.tane.max_lhs as u64,
+            cfg.tane.max_attrs as u64,
+        ];
+        let mut ctx = WalkContext {
+            hash: 0,
+            tree_edges: tree_edges.to_vec(),
+            cands: cands.iter().map(|c| c.to_vec()).collect(),
+            source_cover: source_cover.clone(),
+            target_cover: target_cover.clone(),
+            source_attrs: source_attrs.clone(),
+            target_attrs: target_attrs.clone(),
+            vertices,
+            vertex_state,
+            settings,
+        };
+        ctx.hash = stable_hash64(
+            WALK_CONTEXT_SEED,
+            &(
+                &ctx.tree_edges,
+                &ctx.cands,
+                &ctx.source_cover,
+                &ctx.target_cover,
+                &ctx.source_attrs,
+                &ctx.target_attrs,
+                &ctx.vertices,
+                &ctx.vertex_state,
+                &ctx.settings,
+            ),
+        );
         Ok(EvalEngine {
             graph,
             free,
-            tree_edges,
-            cands,
-            source_cover,
-            target_cover,
-            source_attrs,
-            target_attrs,
             resample: cfg.resample.as_ref(),
             tane: &cfg.tane,
-            vertices,
+            ctx: Arc::new(ctx),
             pos,
-            // The private memo is dead weight when a shared one is plugged
-            // in; cap it to 0 so it never holds a clone.
-            memo: StampedLru::new(if shared_memo.is_some() {
-                0
-            } else {
-                cfg.eval_memo_cap
-            }),
-            shared_memo,
             pair_handles: StampedLru::new(graph.sel_cache_cap()),
         })
     }
@@ -454,22 +522,18 @@ impl<'a> EvalEngine<'a> {
     /// Evaluate one assignment (candidate index per edge) into a
     /// [`TargetGraph`], bit-identical to [`evaluate_assignment`] over the
     /// resolved attribute sets.
-    fn evaluate(&mut self, idxs: &[u32]) -> Result<TargetGraph> {
-        match self.shared_memo {
-            Some(shared) => {
-                if let Some(tg) = shared.get(idxs) {
-                    return Ok(tg);
-                }
-            }
-            None => {
-                if let Some(tg) = self.memo.get(idxs) {
-                    return Ok(tg.clone());
-                }
-            }
+    fn evaluate(&mut self, idxs: &[u32]) -> Result<Arc<TargetGraph>> {
+        let key = EvalKey {
+            idxs: Box::from(idxs),
+            ctx: Arc::clone(&self.ctx),
+        };
+        if let Some(tg) = self.graph.eval_memo.get(&key) {
+            return Ok(tg);
         }
+        let ctx = &*self.ctx;
         let join_attrs: Vec<&AttrSet> = idxs
             .iter()
-            .zip(&self.cands)
+            .zip(&ctx.cands)
             .map(|(&i, c)| &c[i as usize])
             .collect();
 
@@ -477,28 +541,28 @@ impl<'a> EvalEngine<'a> {
         // components (only the flipped edge's components recompute; the
         // folds re-run in canonical order, so every sum is bit-equal).
         let projections = projection_sets(
-            self.vertices.iter().copied(),
-            self.tree_edges,
+            ctx.vertices.iter().copied(),
+            &ctx.tree_edges,
             &join_attrs,
-            self.source_cover,
-            self.target_cover,
+            &ctx.source_cover,
+            &ctx.target_cover,
         )?;
-        let weight = weight_fold(self.graph, self.tree_edges, &join_attrs, None)?;
+        let weight = weight_fold(self.graph, &ctx.tree_edges, &join_attrs, None)?;
         let price = price_fold(self.graph, self.free, &projections, None)?;
 
         // Join the projected instances along the tree, sourcing every hop
         // whose probe key lives in one base table from the graph's selection
         // cache (a flipped edge only misses on its own hop).
-        let projected: Vec<Arc<Table>> = self
+        let projected: Vec<Arc<Table>> = ctx
             .vertices
             .iter()
             .map(|&v| self.graph.projected_for_eval(v, &projections[&v], None))
             .collect::<Result<Vec<_>>>()?;
         let refs: Vec<&Table> = projected.iter().map(Arc::as_ref).collect();
-        let joined_owned: Option<Table> = if self.tree_edges.is_empty() {
+        let joined_owned: Option<Table> = if ctx.tree_edges.is_empty() {
             None
         } else {
-            let edges: Vec<JoinEdge> = self
+            let edges: Vec<JoinEdge> = ctx
                 .tree_edges
                 .iter()
                 .zip(&join_attrs)
@@ -514,16 +578,16 @@ impl<'a> EvalEngine<'a> {
             while let Some(hop) = tj.next_hop()? {
                 match hop.key_base {
                     Some(kb) => {
-                        let key = (hop.edge, idxs[hop.edge], kb);
-                        let pair = match self.pair_handles.get(&key) {
+                        let hkey = (hop.edge, idxs[hop.edge], kb);
+                        let pair = match self.pair_handles.get(&hkey) {
                             Some(p) => Arc::clone(p),
                             None => {
                                 let p = self.graph.pair_sel(
-                                    self.vertices[kb],
-                                    self.vertices[hop.right],
+                                    ctx.vertices[kb],
+                                    ctx.vertices[hop.right],
                                     hop.on,
                                 )?;
-                                self.pair_handles.insert(key, Arc::clone(&p));
+                                self.pair_handles.insert(hkey, Arc::clone(&p));
                                 p
                             }
                         };
@@ -537,22 +601,19 @@ impl<'a> EvalEngine<'a> {
         };
         let joined: &Table = joined_owned.as_ref().unwrap_or_else(|| &projected[0]);
 
-        let corr = eval_corr(joined, self.source_attrs, self.target_attrs, false)?;
+        let corr = eval_corr(joined, &ctx.source_attrs, &ctx.target_attrs, false)?;
         let quality = dance_quality::joint::instance_set_quality(joined, self.tane)?;
 
-        let tg = TargetGraph {
-            tree_edges: self.tree_edges.to_vec(),
+        let tg = Arc::new(TargetGraph {
+            tree_edges: ctx.tree_edges.clone(),
             join_attrs: join_attrs.into_iter().cloned().collect(),
             projections,
             corr,
             weight,
             quality,
             price,
-        };
-        match self.shared_memo {
-            Some(shared) => shared.insert(Box::from(idxs), tg.clone()),
-            None => self.memo.insert(Box::from(idxs), tg.clone()),
-        }
+        });
+        self.graph.eval_memo.insert(key, Arc::clone(&tg));
         Ok(tg)
     }
 }
@@ -610,8 +671,8 @@ pub fn find_optimal_target_graph(
         })
         .collect();
 
-    if cfg.chains > 1 {
-        return crate::multichain::multichain_search(
+    let best = if cfg.chains > 1 {
+        crate::multichain::multichain_search(
             graph,
             free,
             tree_edges,
@@ -623,34 +684,35 @@ pub fn find_optimal_target_graph(
             target_attrs,
             constraints,
             cfg,
-        );
-    }
-
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    run_single_chain(
-        graph,
-        free,
-        tree_edges,
-        &cands,
-        &assignment,
-        source_cover,
-        target_cover,
-        source_attrs,
-        target_attrs,
-        constraints,
-        cfg,
-        1.0,
-        &mut rng,
-        None,
-    )
+        )?
+    } else {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        run_single_chain(
+            graph,
+            free,
+            tree_edges,
+            &cands,
+            &assignment,
+            source_cover,
+            target_cover,
+            source_attrs,
+            target_attrs,
+            constraints,
+            cfg,
+            1.0,
+            &mut rng,
+        )?
+    };
+    Ok(best.map(Arc::unwrap_or_clone))
 }
 
 /// One seeded chain of Algorithm 1's walk over a prepared candidate space:
 /// builds the evaluation path ([`EvalEngine`] or the uncached reference,
 /// per [`McmcConfig::incremental`]) and runs [`walk_chain`] with it. The
-/// single-chain entry point calls this with temperature 1 and no shared
-/// memo — [`crate::multichain`] calls it once per chain, with the chain's
-/// derived RNG, its ladder temperature, and the cross-chain memo.
+/// single-chain entry point calls this with temperature 1 —
+/// [`crate::multichain`] calls it once per chain, with the chain's derived
+/// RNG and its ladder temperature. Every engine evaluates through the
+/// graph's one memo, so chains and requests share evaluations there.
 #[allow(clippy::too_many_arguments)] // mirrors find_optimal_target_graph's surface
 pub(crate) fn run_single_chain(
     graph: &JoinGraph,
@@ -666,25 +728,23 @@ pub(crate) fn run_single_chain(
     cfg: &McmcConfig,
     temperature: f64,
     rng: &mut StdRng,
-    shared_memo: Option<&ShardedLru<Box<[u32]>, TargetGraph>>,
-) -> Result<Option<TargetGraph>> {
+) -> Result<Option<Arc<TargetGraph>>> {
     let mut engine = if cfg.incremental {
         Some(EvalEngine::new(
             graph,
             free,
             tree_edges,
-            cands.to_vec(),
+            cands,
             source_cover,
             target_cover,
             source_attrs,
             target_attrs,
             cfg,
-            shared_memo,
         )?)
     } else {
         None
     };
-    let mut evaluate = |idxs: &[u32]| -> Result<TargetGraph> {
+    let mut evaluate = |idxs: &[u32]| -> Result<Arc<TargetGraph>> {
         match engine.as_mut() {
             Some(engine) => engine.evaluate(idxs),
             None => {
@@ -708,6 +768,7 @@ pub(crate) fn run_single_chain(
                     cfg.resample.as_ref(),
                     &cfg.tane,
                 )
+                .map(Arc::new)
             }
         }
     };
@@ -727,18 +788,20 @@ pub(crate) fn run_single_chain(
 /// the paper's `min(1, CORR'/CORR)` — bit-identical RNG consumption to the
 /// pre-multichain loop — while hotter chains flatten the ratio to
 /// `(CORR'/CORR)^(1/T)` so they cross low-correlation valleys more readily.
+/// States are shared `Arc` handles, so tracking the current and best state
+/// never copies a target graph.
 fn walk_chain(
-    evaluate: &mut impl FnMut(&[u32]) -> Result<TargetGraph>,
+    evaluate: &mut impl FnMut(&[u32]) -> Result<Arc<TargetGraph>>,
     cands: &[&[AttrSet]],
     initial: &[u32],
     constraints: &Constraints,
     iterations: usize,
     temperature: f64,
     rng: &mut StdRng,
-) -> Result<Option<TargetGraph>> {
+) -> Result<Option<Arc<TargetGraph>>> {
     let mut assignment = initial.to_vec();
     let mut current = evaluate(&assignment)?;
-    let mut best: Option<TargetGraph> = current.admits(constraints).then(|| current.clone());
+    let mut best = current.admits(constraints).then(|| Arc::clone(&current));
     if cands.is_empty() {
         return Ok(best);
     }
@@ -782,7 +845,7 @@ fn walk_chain(
             current = proposal;
             // Line 11–13: track the best accepted state.
             if best.as_ref().is_none_or(|b| current.corr > b.corr) {
-                best = Some(current.clone());
+                best = Some(Arc::clone(&current));
             }
         }
     }
@@ -799,6 +862,11 @@ mod tests {
     /// Two instances sharing two possible join attributes:
     /// `mc_good` (correlation-preserving) and `mc_noise` (correlation-killing).
     fn two_key_graph() -> JoinGraph {
+        two_key_graph_with(&JoinGraphConfig::default())
+    }
+
+    /// [`two_key_graph`] built under `cfg`.
+    fn two_key_graph_with(cfg: &JoinGraphConfig) -> JoinGraph {
         let n = 240;
         let left: Vec<Vec<Value>> = (0..n)
             .map(|i| {
@@ -856,13 +924,7 @@ mod tests {
                 version: 0,
             },
         ];
-        JoinGraph::build(
-            metas,
-            vec![lt, rt],
-            EntropyPricing::default(),
-            &JoinGraphConfig::default(),
-        )
-        .unwrap()
+        JoinGraph::build(metas, vec![lt, rt], EntropyPricing::default(), cfg).unwrap()
     }
 
     fn covers() -> (Cover, Cover) {
@@ -1032,14 +1094,14 @@ mod tests {
 
     /// The incremental engine and the fresh-evaluation reference walk to the
     /// bit-identical best state on the two-key graph — with re-sampling
-    /// firing, across memo caps (including 0 = memo disabled), cold and warm.
+    /// firing, across the graph's memo caps (including 0 = memo disabled),
+    /// cold and warm.
     #[test]
     fn incremental_walk_matches_reference_walk() {
-        let g = two_key_graph();
         let (sc, tc) = covers();
-        let run = |incremental: bool, memo_cap: usize| {
+        let run = |g: &JoinGraph, incremental: bool| {
             find_optimal_target_graph(
-                &g,
+                g,
                 &FxHashSet::default(),
                 &[(0, 1)],
                 &sc,
@@ -1056,20 +1118,21 @@ mod tests {
                         seed: 9,
                     }),
                     incremental,
-                    eval_memo_cap: memo_cap,
                     ..McmcConfig::default()
                 },
             )
             .unwrap()
             .expect("unconstrained search finds something")
         };
-        let reference = run(false, 0);
-        // The reference walk warmed the projection/price caches; start the
-        // incremental comparison from a genuinely cold graph.
-        g.clear_eval_caches();
+        let reference = run(&two_key_graph(), false);
         for memo_cap in [0usize, 1, 512] {
+            // A fresh graph per cap: the comparison starts genuinely cold.
+            let g = two_key_graph_with(&JoinGraphConfig {
+                eval_memo_cap: memo_cap,
+                ..JoinGraphConfig::default()
+            });
             for _ in 0..2 {
-                let inc = run(true, memo_cap);
+                let inc = run(&g, true);
                 assert_eq!(inc.join_attrs, reference.join_attrs, "cap {memo_cap}");
                 assert_eq!(inc.projections, reference.projections);
                 assert_eq!(inc.corr.to_bits(), reference.corr.to_bits());
@@ -1077,12 +1140,12 @@ mod tests {
                 assert_eq!(inc.quality.to_bits(), reference.quality.to_bits());
                 assert_eq!(inc.price.to_bits(), reference.price.to_bits());
             }
+            assert!(g.sel_cache_len() > 0, "walk populated the selection cache");
+            assert!(
+                g.proj_cache_len() > 0,
+                "walk populated the projection cache"
+            );
         }
-        assert!(g.sel_cache_len() > 0, "walk populated the selection cache");
-        assert!(
-            g.proj_cache_len() > 0,
-            "walk populated the projection cache"
-        );
     }
 
     #[test]

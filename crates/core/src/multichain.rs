@@ -4,16 +4,17 @@
 //! Metropolis chains over the same candidate space and keeps the best target
 //! graph any of them found. Chains differ only in their RNG stream (seeds
 //! derived deterministically from the base seed, [`chain_seed`]) and,
-//! optionally, their acceptance temperature ([`chain_temperature`]); they
-//! share one concurrent, generation-free evaluation memo so an assignment
-//! evaluated by any chain is a cache hit for every other.
+//! optionally, their acceptance temperature ([`chain_temperature`]). Every
+//! chain walks the same tree under the same walk context, so an assignment
+//! evaluated by any chain is a hit for every other in the graph's one
+//! evaluation memo ([`JoinGraph`] owns it; this module builds none).
 //!
 //! ## Determinism contract
 //!
 //! - Chain k's walk is a pure function of `(catalog, chain_seed(seed, k),
 //!   chain_temperature(step, k))` — the shared memo can change *when* work
 //!   happens, never *what* a chain computes, because a
-//!   [`TargetGraph`] is a pure function of the assignment.
+//!   [`TargetGraph`] is a pure function of its memo key.
 //! - The reduction scans results in chain-index order and replaces the
 //!   incumbent only on a strictly larger `corr`, so ties resolve to the
 //!   lowest chain index. Together these make the result bit-identical for a
@@ -27,10 +28,9 @@
 //! `par_map_init`, which constructs each chain's RNG from scratch per item —
 //! no RNG state ever crosses a work-stealing boundary. This module must not
 //! take any mutex directly (CI grep-guards it); all cross-chain shared
-//! state goes through the [`ShardedLru`] facade, which owns its shard
+//! state goes through the graph's sharded caches, which own their shard
 //! mutexes internally.
 
-use crate::cache::ShardedLru;
 use crate::join_graph::JoinGraph;
 use crate::mcmc::{run_single_chain, McmcConfig, TargetGraph};
 use crate::request::Constraints;
@@ -39,6 +39,7 @@ use dance_relation::hash::{splitmix64, GOLDEN};
 use dance_relation::{AttrSet, FxHashSet, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// The RNG seed for chain `k` of a search seeded with `base`.
 ///
@@ -81,12 +82,8 @@ pub(crate) fn multichain_search(
     target_attrs: &AttrSet,
     constraints: &Constraints,
     cfg: &McmcConfig,
-) -> Result<Option<TargetGraph>> {
-    let chains = cfg.chains.max(1);
-    // One memo for the whole search: every chain walks the same assignment
-    // space, so the caps that sized one private memo size the shared one.
-    let shared_memo: ShardedLru<Box<[u32]>, TargetGraph> = ShardedLru::new(cfg.eval_memo_cap);
-    let chain_ids: Vec<usize> = (0..chains).collect();
+) -> Result<Option<Arc<TargetGraph>>> {
+    let chain_ids: Vec<usize> = (0..cfg.chains.max(1)).collect();
 
     let results = graph.executor().par_map_init(
         &chain_ids,
@@ -106,14 +103,13 @@ pub(crate) fn multichain_search(
                 cfg,
                 chain_temperature(cfg.temperature_step, k),
                 rng,
-                Some(&shared_memo),
             )
         },
     );
 
     // Best-of-N in chain-index order; strictly-greater keeps ties on the
     // lowest chain, independent of which chain finished first.
-    let mut best: Option<TargetGraph> = None;
+    let mut best: Option<Arc<TargetGraph>> = None;
     for result in results {
         let Some(tg) = result? else { continue };
         if best.as_ref().is_none_or(|b| tg.corr > b.corr) {
