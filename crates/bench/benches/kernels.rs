@@ -468,7 +468,7 @@ struct SearchSetup {
 }
 
 impl SearchSetup {
-    fn run(&self, incremental: bool, iterations: usize) {
+    fn run(&self, iterations: usize) {
         let best = find_optimal_target_graph(
             &self.graph,
             &Default::default(),
@@ -481,7 +481,6 @@ impl SearchSetup {
             &McmcConfig {
                 iterations,
                 seed: 17,
-                incremental,
                 ..McmcConfig::default()
             },
         )
@@ -490,7 +489,7 @@ impl SearchSetup {
     }
 
     /// A multi-chain search (chains = 1 is exactly the historical single
-    /// walk) with an explicit seed, on the incremental engine.
+    /// walk) with an explicit seed.
     fn run_seeded(&self, seed: u64, chains: usize, iterations: usize) {
         let best = find_optimal_target_graph(
             &self.graph,
@@ -561,9 +560,10 @@ fn two_key_tables() -> Vec<Table> {
 
 /// The two-key graph the MCMC unit tests search: two instances sharing a
 /// correlation-preserving and a correlation-killing join attribute.
-/// `caps` sets both evaluation-cache bounds — 0 builds the cache-disabled
-/// graph the uncached arms measure (the genuine pre-PR path, where every
-/// evaluation recomputes its projections and prices).
+/// `caps` sets all three evaluation-cache bounds (selections, projections
+/// and prices, the evaluation memo) — 0 builds the cache-free graph the
+/// uncached arms measure, where every evaluation recomputes every hop,
+/// projection and price.
 fn two_key_setup(workers: usize, caps: usize) -> SearchSetup {
     let tables = two_key_tables();
     let graph = JoinGraph::build(
@@ -574,6 +574,7 @@ fn two_key_setup(workers: usize, caps: usize) -> SearchSetup {
             executor: Executor::new(workers),
             sel_cache_cap: caps,
             proj_cache_cap: caps,
+            eval_memo_cap: caps,
             ..JoinGraphConfig::default()
         },
     )
@@ -610,6 +611,7 @@ fn tpch_search_setup(workers: usize, caps: usize, ts: &[Table]) -> SearchSetup {
             executor: Executor::new(workers),
             sel_cache_cap: caps,
             proj_cache_cap: caps,
+            eval_memo_cap: caps,
             ..JoinGraphConfig::default()
         },
     )
@@ -633,10 +635,13 @@ fn tpch_search_setup(workers: usize, caps: usize, ts: &[Table]) -> SearchSetup {
 }
 
 /// `find_optimal_target_graph` throughput (a full seeded walk per
-/// iteration): the uncached reference path vs the incremental engine with
-/// cold caches vs warm caches, at 1 and 4 workers, on the two-key toy graph
-/// and a scale-100 TPC-H pair.
+/// iteration) on the one evaluation path: a cache-free graph vs cold caches
+/// vs warm caches, at 1 and 4 workers, on the two-key toy graph and a
+/// scale-100 TPC-H pair.
 ///
+/// * `*_uncached` runs on a graph built with every evaluation cap at 0, so
+///   each evaluation recomputes every hop, projection and price and nothing
+///   is memoized.
 /// * `*_cold` clears every evaluation cache per iteration through
 ///   `clear_eval_caches` — selections, projections, prices *and* the
 ///   graph's evaluation memo — so each walk evaluates every state it visits.
@@ -647,16 +652,13 @@ fn bench_mcmc_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("mcmc_search");
     let ts = par_tables();
     for workers in [1usize, 4] {
-        // The uncached arm runs on a cache-disabled graph (caps 0): with the
-        // evaluation caches off, evaluate_assignment recomputes projections
-        // and prices per proposal — the genuine pre-PR reference path.
         let two_key_plain = two_key_setup(workers, 0);
         let two_key = two_key_setup(workers, dance_core::DEFAULT_SEL_CACHE_CAP);
         let iters = 40;
         g.bench_with_input(
             BenchmarkId::new("two_key_uncached", format!("{workers}w")),
             &two_key_plain,
-            |b, s| b.iter(|| s.run(false, iters)),
+            |b, s| b.iter(|| s.run(iters)),
         );
         g.bench_with_input(
             BenchmarkId::new("two_key_cold", format!("{workers}w")),
@@ -664,14 +666,14 @@ fn bench_mcmc_search(c: &mut Criterion) {
             |b, s| {
                 b.iter(|| {
                     s.graph.clear_eval_caches();
-                    s.run(true, iters)
+                    s.run(iters)
                 })
             },
         );
         g.bench_with_input(
             BenchmarkId::new("two_key_warm", format!("{workers}w")),
             &two_key,
-            |b, s| b.iter(|| s.run(true, iters)),
+            |b, s| b.iter(|| s.run(iters)),
         );
 
         let tpch_plain = tpch_search_setup(workers, 0, &ts);
@@ -680,7 +682,7 @@ fn bench_mcmc_search(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("tpch_li_ps_uncached", format!("{workers}w")),
             &tpch_plain,
-            |b, s| b.iter(|| s.run(false, iters)),
+            |b, s| b.iter(|| s.run(iters)),
         );
         g.bench_with_input(
             BenchmarkId::new("tpch_li_ps_cold", format!("{workers}w")),
@@ -688,14 +690,14 @@ fn bench_mcmc_search(c: &mut Criterion) {
             |b, s| {
                 b.iter(|| {
                     s.graph.clear_eval_caches();
-                    s.run(true, iters)
+                    s.run(iters)
                 })
             },
         );
         g.bench_with_input(
             BenchmarkId::new("tpch_li_ps_warm", format!("{workers}w")),
             &tpch,
-            |b, s| b.iter(|| s.run(true, iters)),
+            |b, s| b.iter(|| s.run(iters)),
         );
     }
     g.finish();

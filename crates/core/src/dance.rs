@@ -11,24 +11,25 @@
 //! the current sample resolution, buy more samples (higher rate), refresh the
 //! graph and retry — the iterative loop of §2.1.
 //!
-//! Every multi-hop join the middleware evaluates — [`Dance::search`]'s MCMC
+//! Every target graph the middleware evaluates — [`Dance::search`]'s MCMC
 //! candidates, [`Dance::evaluate_true`]'s full-table ground truth, and the
-//! re-joins after [`Dance::refine`] — flows through the selection-vector
-//! pipeline (`dance_relation::sel` via `join_tree_bounded_with`): per-hop
+//! re-joins after [`Dance::refine`] — goes through the one kernel
+//! `crate::mcmc::evaluate_assignment`, whose multi-hop join drives the
+//! selection-vector pipeline (`dance_relation::sel::TreeJoin`): per-hop
 //! joins compose row-id selections on interned symbols, fan out over the
 //! graph's `dance-executor`, and materialize one table for the estimators.
 //!
-//! The MCMC search additionally rides the graph's bounded evaluation caches
-//! (see `crate::mcmc`'s module docs): per-hop pair selections, projected
-//! sample tables, price estimates and whole evaluated target graphs persist
-//! inside the [`JoinGraph`] across proposals, chains *and* `search` calls —
-//! a repeated request replays its walks from the evaluation memo. Seller
-//! updates ([`Dance::apply_sample_delta`]) bump the touched instance's sample
-//! generation, which strands its memo entries without a sweep;
-//! [`Dance::refine`] sweeps exactly the refreshed instances' entries via
-//! [`JoinGraph::refresh_sample`]. Caching never changes a search result —
-//! plans, metrics and seeded reports are byte-identical with
-//! `McmcConfig::incremental` on or off.
+//! On samples that kernel reads through the graph's bounded evaluation
+//! caches (see `crate::mcmc`'s module docs): per-hop pair selections,
+//! projected sample tables, price estimates and whole evaluated target
+//! graphs persist inside the [`JoinGraph`] across proposals, chains *and*
+//! `search` calls — a repeated request replays its walks from the
+//! evaluation memo. Seller updates ([`Dance::apply_sample_delta`]) bump the
+//! touched instance's sample generation, which strands its memo entries
+//! without a sweep; [`Dance::refine`] sweeps exactly the refreshed
+//! instances' entries via [`JoinGraph::refresh_sample`]. Caching never
+//! changes a search result — plans, metrics and seeded reports are
+//! byte-identical on a graph built with every evaluation cap at 0.
 //!
 //! Step 1's landmark index depends only on the graph's I-edge weights and
 //! the fixed config, so the middleware builds it once in [`Dance::offline`]

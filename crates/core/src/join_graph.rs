@@ -734,9 +734,7 @@ impl JoinGraph {
     }
 
     /// The selection cache's **total** entry bound across all shards
-    /// ([`JoinGraphConfig::sel_cache_cap`]) — the MCMC engine sizes its
-    /// per-walk handle table to it, so the knob bounds resident pair
-    /// selections during a walk too.
+    /// ([`JoinGraphConfig::sel_cache_cap`]).
     pub fn sel_cache_cap(&self) -> usize {
         self.sel_cache.cap()
     }
@@ -767,8 +765,9 @@ impl JoinGraph {
     }
 
     /// Lifetime `(hits, misses)` of the MCMC evaluation memo, summed over
-    /// shards (relaxed counters; observability only). The uncached
-    /// reference walk (`McmcConfig::incremental = false`) never looks it up.
+    /// shards (relaxed counters; observability only). Every walk evaluation
+    /// looks it up once; with [`JoinGraphConfig::eval_memo_cap`] 0 every
+    /// lookup misses.
     pub fn eval_memo_stats(&self) -> (u64, u64) {
         self.eval_memo.stats()
     }

@@ -13,29 +13,27 @@
 //! target graphs while recording the best constraint-satisfying state it has
 //! visited.
 //!
-//! [`evaluate_assignment`] is the shared evaluation kernel: it is also what
-//! the LP/GP baselines call, with full tables instead of samples for GP.
+//! ## Evaluation
 //!
-//! ## Incremental evaluation
+//! [`evaluate_assignment`] is the one evaluation kernel: the walk, the LP/GP
+//! baselines (full tables instead of samples for GP) and the ground-truth
+//! re-evaluation all call it. On the sample tier it reads through the
+//! [`JoinGraph`]'s bounded caches, so a proposal — which flips exactly one
+//! edge's join attribute set — only recomputes what that edge touches:
 //!
-//! A proposal flips exactly one edge's join attribute set, and the walk
-//! revisits states constantly, so [`find_optimal_target_graph`] evaluates
-//! through an incremental engine instead of re-running the whole pipeline
-//! per proposal (disable with [`McmcConfig::incremental`] — the bit-exact
-//! reference path the property tests pin against):
-//!
-//! * **Per-hop selection cache** — each tree hop re-probes a
-//!   [`JoinGraph::pair_sel`] cached per `(instance pair, join set)`, so a
-//!   flipped edge re-probes only its own hop while unchanged hops re-compose
-//!   cached match lists ([`dance_relation::sel::TreeJoin`]).
+//! * **Per-hop selection cache** — every hop whose probe key lives in one
+//!   base table re-composes a [`JoinGraph::pair_sel`] cached per
+//!   `(instance pair, join set)` ([`TreeJoin::advance_with_pair`]), so a
+//!   flipped edge re-probes only its own hop. Full-data evaluation probes
+//!   every hop directly.
 //! * **Projection / price cache** — projected sample tables and entropy
 //!   prices come from [`JoinGraph::projected_for_eval`] /
-//!   [`JoinGraph::price_for_eval`], cached per `(instance, attr set)`; only
-//!   the flipped edge's endpoints recompute, and the final price/weight
-//!   folds re-run over the cached components in canonical order, so every
-//!   float is bit-equal to a fresh full re-sum.
-//! * **Evaluation memo** — full [`TargetGraph`]s memoized in the
-//!   [`JoinGraph`] itself, keyed by *(walk context, assignment)*: the context
+//!   [`JoinGraph::price_for_eval`], cached per `(instance, attr set)`; the
+//!   price and weight folds always run over every component in canonical
+//!   order, so each float is bit-equal to a cache-free evaluation.
+//! * **Evaluation memo** — the walk looks every assignment up in the
+//!   [`JoinGraph`]'s memo before calling [`evaluate_assignment`], and inserts
+//!   the result after. The key is *(walk context, assignment)*: the context
 //!   is everything an evaluation reads besides the assignment (tree, its
 //!   candidate join sets, covers, AS/AT, the participating vertices' free
 //!   flags and sample generations, the re-sampling and TANE settings),
@@ -45,11 +43,12 @@
 //!   samples unreachable, so seller updates sweep nothing
 //!   ([`crate::join_graph::JoinGraphConfig::eval_memo_cap`] bounds it).
 //!
-//! §3.2 re-sampling keeps firing on the *composed* selection via
+//! Every cache is a pure function of its key, so a graph with all three caps
+//! at 0 evaluates the same bits — the cache-free reference the tests pin
+//! against. §3.2 re-sampling fires on the composed selection via
 //! [`dance_sampling::resample::BoundedHook`] with unchanged step/seed
 //! derivation, so seeded experiment reports stay byte-identical.
 
-use crate::cache::StampedLru;
 use crate::join_graph::JoinGraph;
 use crate::request::Constraints;
 use crate::target::Cover;
@@ -60,7 +59,7 @@ use dance_relation::hash::stable_hash64;
 use dance_relation::join::JoinEdge;
 use dance_relation::sel::TreeJoin;
 use dance_relation::{AttrSet, FxHashMap, FxHashSet, RelationError, Result, Table};
-use dance_sampling::resample::{join_tree_bounded_with, BoundedHook, ResampleConfig};
+use dance_sampling::resample::{BoundedHook, ResampleConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
@@ -78,14 +77,6 @@ pub struct McmcConfig {
     pub resample: Option<ResampleConfig>,
     /// AFD discovery settings for the quality estimate (Def 2.3).
     pub tane: TaneConfig,
-    /// Evaluate proposals through the incremental engine (cached per-hop
-    /// selections, cached projections/prices, the graph's evaluation memo).
-    /// `false` re-runs the full [`evaluate_assignment`] pipeline per
-    /// proposal, touching no memo — the reference the pinning tests compare
-    /// bit-exact and the uncached bench baseline. Both paths visit identical
-    /// states: evaluation caching never changes a single proposal,
-    /// acceptance, or report byte.
-    pub incremental: bool,
     /// Number of independent MCMC chains ([`crate::multichain`]). `1` (the
     /// default) is the plain single-chain walk; `N > 1` runs N independently
     /// seeded chains — seeds derived per chain index from [`Self::seed`] —
@@ -113,7 +104,6 @@ impl Default for McmcConfig {
                 max_lhs: 1,
                 max_attrs: 12,
             },
-            incremental: true,
             chains: 1,
             temperature_step: 0.0,
         }
@@ -147,10 +137,12 @@ impl TargetGraph {
     }
 }
 
-/// Evaluate one edge-assignment into a full [`TargetGraph`].
+/// Evaluate one edge-assignment into a full [`TargetGraph`] — the one
+/// evaluation path (see the module docs).
 ///
 /// * `tables = None` → per-instance data comes from the join-graph samples
-///   (the heuristic and LP paths); edge weights come from the Property 4.1
+///   (the heuristic and LP paths), read through the graph's selection and
+///   projection/price caches; edge weights come from the Property 4.1
 ///   table.
 /// * `tables = Some(full)` → full-data evaluation (the GP path and final
 ///   plan reporting); edge weights are exact JI on the full tables and
@@ -177,88 +169,19 @@ pub fn evaluate_assignment(
         )));
     }
 
-    // Participating vertices.
-    let mut vertices: FxHashSet<u32> = FxHashSet::default();
-    for &(a, b) in tree_edges {
-        vertices.insert(a);
-        vertices.insert(b);
-    }
-    for v in source_cover.keys().chain(target_cover.keys()) {
-        vertices.insert(*v);
-    }
+    let vertices = participating_vertices(tree_edges, source_cover, target_cover);
     if vertices.is_empty() {
         return Err(RelationError::Shape("empty target graph".into()));
     }
 
-    let attr_refs: Vec<&AttrSet> = join_attrs.iter().collect();
-    let projections = projection_sets(
-        vertices.iter().copied(),
-        tree_edges,
-        &attr_refs,
-        source_cover,
-        target_cover,
-    )?;
-    let weight = weight_fold(graph, tree_edges, &attr_refs, tables)?;
-    let price = price_fold(graph, free, &projections, tables)?;
-
-    // Join the projected instances along the tree. Projections come from the
-    // graph's cache layer: the sample tier returns shared Arc projections so
-    // repeated evaluations stop re-cloning column data.
-    let order: Vec<u32> = projections.keys().copied().collect();
-    let pos: FxHashMap<u32, usize> = order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let projected: Vec<Arc<Table>> = order
-        .iter()
-        .map(|&v| graph.projected_for_eval(v, &projections[&v], tables))
-        .collect::<Result<Vec<_>>>()?;
-    let refs: Vec<&Table> = projected.iter().map(Arc::as_ref).collect();
-    let joined = if tree_edges.is_empty() {
-        (*projected[0]).clone()
-    } else {
-        let edges: Vec<JoinEdge> = tree_edges
-            .iter()
-            .zip(join_attrs)
-            .map(|(&(a, b), on)| JoinEdge {
-                a: pos[&a],
-                b: pos[&b],
-                on: on.clone(),
-            })
-            .collect();
-        // Selection-vector tree join: per-hop JoinSels composed on interned
-        // symbols, one materialization, fanned out over the graph's executor.
-        join_tree_bounded_with(&graph.executor(), &refs, &edges, resample)?.0
-    };
-
-    let corr = eval_corr(&joined, source_attrs, target_attrs, tables.is_some())?;
-    let quality = dance_quality::joint::instance_set_quality(&joined, tane)?;
-
-    Ok(TargetGraph {
-        tree_edges: tree_edges.to_vec(),
-        join_attrs: join_attrs.to_vec(),
-        projections,
-        corr,
-        weight,
-        quality,
-        price,
-    })
-}
-
-/// Projection attribute sets (incident join attrs ∪ cover contributions) of
-/// every participating vertex — the one definition [`evaluate_assignment`]
-/// and the incremental engine share (a `BTreeMap` makes the caller's vertex
-/// iteration order irrelevant).
-fn projection_sets(
-    vertices: impl Iterator<Item = u32>,
-    tree_edges: &[(u32, u32)],
-    join_attrs: &[&AttrSet],
-    source_cover: &Cover,
-    target_cover: &Cover,
-) -> Result<BTreeMap<u32, AttrSet>> {
+    // Projection attribute set per vertex: incident join attrs ∪ cover
+    // contributions.
     let mut projections: BTreeMap<u32, AttrSet> = BTreeMap::new();
     for v in vertices {
         let mut p = AttrSet::empty();
-        for (e, &(a, b)) in tree_edges.iter().enumerate() {
+        for (&(a, b), on) in tree_edges.iter().zip(join_attrs) {
             if a == v || b == v {
-                p = p.union(join_attrs[e]);
+                p = p.union(on);
             }
         }
         if let Some(s) = source_cover.get(&v) {
@@ -274,52 +197,102 @@ fn projection_sets(
         }
         projections.insert(v, p);
     }
-    Ok(projections)
-}
 
-/// `w(TG)`: Property 4.1 lookups on the sample tier, exact JI on full data —
-/// folded in edge order (the canonical summation order both evaluation paths
-/// share, so the result is bit-stable).
-fn weight_fold(
-    graph: &JoinGraph,
-    tree_edges: &[(u32, u32)],
-    join_attrs: &[&AttrSet],
-    tables: Option<&[Table]>,
-) -> Result<f64> {
+    // w(TG): Property 4.1 lookups on the sample tier, exact JI on full data,
+    // folded in edge order.
     let mut weight = 0.0;
-    for (e, &(a, b)) in tree_edges.iter().enumerate() {
+    for (&(a, b), on) in tree_edges.iter().zip(join_attrs) {
         weight += match tables {
-            None => graph.weight(a, b, join_attrs[e]).ok_or_else(|| {
+            None => graph.weight(a, b, on).ok_or_else(|| {
                 RelationError::InvalidJoin(format!(
-                    "no candidate weight for edge ({a},{b}) on {}",
-                    join_attrs[e]
+                    "no candidate weight for edge ({a},{b}) on {on}"
                 ))
             })?,
-            Some(full) => {
-                join_informativeness(&full[a as usize], &full[b as usize], join_attrs[e])?
-            }
+            Some(full) => join_informativeness(&full[a as usize], &full[b as usize], on)?,
         };
     }
-    Ok(weight)
+    // p(TG): non-free instances only, folded in ascending vertex order, each
+    // component from the graph's price cache on the sample tier.
+    let mut price = 0.0;
+    for (&v, attrs) in &projections {
+        if !free.contains(&v) {
+            price += graph.price_for_eval(v, attrs, tables)?;
+        }
+    }
+
+    // Join the projected instances along the tree, hop by hop. Projections
+    // come from the graph's cache layer: the sample tier returns shared Arc
+    // projections so repeated evaluations stop re-cloning column data.
+    let order: Vec<u32> = projections.keys().copied().collect();
+    let pos: FxHashMap<u32, usize> = order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+    let projected: Vec<Arc<Table>> = order
+        .iter()
+        .map(|&v| graph.projected_for_eval(v, &projections[&v], tables))
+        .collect::<Result<Vec<_>>>()?;
+    let refs: Vec<&Table> = projected.iter().map(Arc::as_ref).collect();
+    let joined_owned: Option<Table> = if tree_edges.is_empty() {
+        None
+    } else {
+        let edges: Vec<JoinEdge> = tree_edges
+            .iter()
+            .zip(join_attrs)
+            .map(|(&(a, b), on)| JoinEdge {
+                a: pos[&a],
+                b: pos[&b],
+                on: on.clone(),
+            })
+            .collect();
+        // Selection-vector tree join: per-hop selections composed on interned
+        // symbols, one materialization, fanned out over the graph's executor.
+        // On the sample tier a hop whose probe key lives in one base table
+        // re-composes the graph's cached pair selection (a flipped edge only
+        // misses on its own hop); full data probes every hop directly.
+        let exec = graph.executor();
+        let mut tj = TreeJoin::new(&refs, &edges)?;
+        let mut hook = BoundedHook::new(resample);
+        while let Some(hop) = tj.next_hop()? {
+            match hop.key_base.filter(|_| tables.is_none()) {
+                Some(kb) => {
+                    let pair = graph.pair_sel(order[kb], order[hop.right], hop.on)?;
+                    tj.advance_with_pair(&exec, &hop, &pair)?;
+                }
+                None => tj.advance(&exec, &hop)?,
+            }
+            tj.map_sel(|s| hook.apply(s));
+        }
+        Some(tj.materialize(&exec)?)
+    };
+    let joined: &Table = joined_owned.as_ref().unwrap_or_else(|| &projected[0]);
+
+    let corr = eval_corr(joined, source_attrs, target_attrs, tables.is_some())?;
+    let quality = dance_quality::joint::instance_set_quality(joined, tane)?;
+
+    Ok(TargetGraph {
+        tree_edges: tree_edges.to_vec(),
+        join_attrs: join_attrs.to_vec(),
+        projections,
+        corr,
+        weight,
+        quality,
+        price,
+    })
 }
 
-/// `p(TG)`: non-free instances only, folded in ascending vertex order (the
-/// shared canonical order), each component from the graph's price cache on
-/// the sample tier.
-fn price_fold(
-    graph: &JoinGraph,
-    free: &FxHashSet<u32>,
-    projections: &BTreeMap<u32, AttrSet>,
-    tables: Option<&[Table]>,
-) -> Result<f64> {
-    let mut price = 0.0;
-    for (&v, attrs) in projections {
-        if free.contains(&v) {
-            continue;
-        }
-        price += graph.price_for_eval(v, attrs, tables)?;
-    }
-    Ok(price)
+/// Every vertex a target graph reads — tree-edge endpoints and cover
+/// vertices — ascending.
+fn participating_vertices(
+    tree_edges: &[(u32, u32)],
+    source_cover: &Cover,
+    target_cover: &Cover,
+) -> Vec<u32> {
+    let mut vertices: Vec<u32> = tree_edges
+        .iter()
+        .flat_map(|&(a, b)| [a, b])
+        .chain(source_cover.keys().chain(target_cover.keys()).copied())
+        .collect();
+    vertices.sort_unstable();
+    vertices.dedup();
+    vertices
 }
 
 /// `CORR(AS, AT)` on the joined result: the plug-in value on full data.
@@ -349,11 +322,10 @@ fn eval_corr(
 /// candidate indices it determines a [`TargetGraph`] bit for bit, so it is
 /// the first half of the graph's evaluation-memo key ([`EvalKey`]).
 ///
-/// Built once per walk by [`EvalEngine::new`], which also hashes it once;
-/// the engine then reads the tree, candidates, covers and vertex order back
-/// from it. The participating vertices' sample generations stand for their
-/// samples, histograms and Property 4.1 weights (all of which a generation
-/// bump replaces), and their free flags for the price fold's exemptions.
+/// Built and hashed once per walk by [`run_single_chain`]. The participating
+/// vertices' sample generations stand for their samples, histograms and
+/// Property 4.1 weights (all of which a generation bump replaces), and their
+/// free flags for the price fold's exemptions.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct WalkContext {
     /// `stable_hash64` of the fields below — all a key hashes of its
@@ -367,8 +339,7 @@ pub(crate) struct WalkContext {
     target_cover: Cover,
     source_attrs: AttrSet,
     target_attrs: AttrSet,
-    /// Participating vertices, ascending (= the reference's projection
-    /// iteration order).
+    /// Participating vertices, ascending.
     vertices: Vec<u32>,
     /// Per participating vertex: `(free, sample generation)`.
     vertex_state: Vec<(bool, u64)>,
@@ -405,69 +376,20 @@ impl EvalKey {
     }
 }
 
-/// The incremental evaluation engine behind [`find_optimal_target_graph`].
-///
-/// Everything invariant across the walk lives in its [`WalkContext`],
-/// computed once at construction, together with the vertex position map.
-/// Per evaluation, whole [`TargetGraph`]s come from the graph's evaluation
-/// memo keyed by *(context, assignment)*, hop selections from its
-/// [`PairSel`](dance_relation::PairSel) cache, and projected tables and
-/// prices from its projection cache — so a revisited state (in this walk,
-/// another chain, or an earlier request over the same tree) costs one hash
-/// lookup and a fresh state re-probes only hops no cached selection covers.
-///
-/// Weight and price are folded from cached per-component values (a
-/// Property 4.1 lookup per edge, a cached price per vertex): a proposal only
-/// recomputes the flipped edge's components, but the final folds always run
-/// over all components in the reference's canonical order (edge order /
-/// vertex order), keeping every sum bit-equal to a fresh
-/// [`evaluate_assignment`].
-pub(crate) struct EvalEngine<'a> {
-    graph: &'a JoinGraph,
-    free: &'a FxHashSet<u32>,
-    resample: Option<&'a ResampleConfig>,
-    tane: &'a TaneConfig,
-    ctx: Arc<WalkContext>,
-    /// vertex id → position in `ctx.vertices` (the prebuilt index map).
-    pos: FxHashMap<u32, usize>,
-    /// `(edge, candidate index, probe base)` → the graph's cached pair
-    /// selection, held locally so repeat hops skip the graph lock *and* the
-    /// attr-set key clone. Entries are `Arc` handles into
-    /// [`JoinGraph::pair_sel`]'s cache (samples are immutable behind
-    /// `&JoinGraph` for the walk's lifetime, so a handle can never go
-    /// stale), and the table shares the graph's `sel_cache_cap` bound so the
-    /// one knob also limits the pair selections a walk keeps resident.
-    pair_handles: StampedLru<(usize, u32, usize), Arc<dance_relation::PairSel>>,
-}
-
-impl<'a> EvalEngine<'a> {
+impl WalkContext {
     #[allow(clippy::too_many_arguments)] // mirrors evaluate_assignment's surface
     fn new(
-        graph: &'a JoinGraph,
-        free: &'a FxHashSet<u32>,
+        graph: &JoinGraph,
+        free: &FxHashSet<u32>,
         tree_edges: &[(u32, u32)],
         cands: &[&[AttrSet]],
         source_cover: &Cover,
         target_cover: &Cover,
         source_attrs: &AttrSet,
         target_attrs: &AttrSet,
-        cfg: &'a McmcConfig,
-    ) -> Result<EvalEngine<'a>> {
-        let mut vs: FxHashSet<u32> = FxHashSet::default();
-        for &(a, b) in tree_edges {
-            vs.insert(a);
-            vs.insert(b);
-        }
-        for v in source_cover.keys().chain(target_cover.keys()) {
-            vs.insert(*v);
-        }
-        if vs.is_empty() {
-            return Err(RelationError::Shape("empty target graph".into()));
-        }
-        let mut vertices: Vec<u32> = vs.into_iter().collect();
-        vertices.sort_unstable();
-        let pos: FxHashMap<u32, usize> =
-            vertices.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        cfg: &McmcConfig,
+    ) -> WalkContext {
+        let vertices = participating_vertices(tree_edges, source_cover, target_cover);
         let vertex_state = vertices
             .iter()
             .map(|v| (free.contains(v), graph.sample_gen(*v)))
@@ -508,113 +430,7 @@ impl<'a> EvalEngine<'a> {
                 &ctx.settings,
             ),
         );
-        Ok(EvalEngine {
-            graph,
-            free,
-            resample: cfg.resample.as_ref(),
-            tane: &cfg.tane,
-            ctx: Arc::new(ctx),
-            pos,
-            pair_handles: StampedLru::new(graph.sel_cache_cap()),
-        })
-    }
-
-    /// Evaluate one assignment (candidate index per edge) into a
-    /// [`TargetGraph`], bit-identical to [`evaluate_assignment`] over the
-    /// resolved attribute sets.
-    fn evaluate(&mut self, idxs: &[u32]) -> Result<Arc<TargetGraph>> {
-        let key = EvalKey {
-            idxs: Box::from(idxs),
-            ctx: Arc::clone(&self.ctx),
-        };
-        if let Some(tg) = self.graph.eval_memo.get(&key) {
-            return Ok(tg);
-        }
-        let ctx = &*self.ctx;
-        let join_attrs: Vec<&AttrSet> = idxs
-            .iter()
-            .zip(&ctx.cands)
-            .map(|(&i, c)| &c[i as usize])
-            .collect();
-
-        // The reference's exact construction and folds, over cached
-        // components (only the flipped edge's components recompute; the
-        // folds re-run in canonical order, so every sum is bit-equal).
-        let projections = projection_sets(
-            ctx.vertices.iter().copied(),
-            &ctx.tree_edges,
-            &join_attrs,
-            &ctx.source_cover,
-            &ctx.target_cover,
-        )?;
-        let weight = weight_fold(self.graph, &ctx.tree_edges, &join_attrs, None)?;
-        let price = price_fold(self.graph, self.free, &projections, None)?;
-
-        // Join the projected instances along the tree, sourcing every hop
-        // whose probe key lives in one base table from the graph's selection
-        // cache (a flipped edge only misses on its own hop).
-        let projected: Vec<Arc<Table>> = ctx
-            .vertices
-            .iter()
-            .map(|&v| self.graph.projected_for_eval(v, &projections[&v], None))
-            .collect::<Result<Vec<_>>>()?;
-        let refs: Vec<&Table> = projected.iter().map(Arc::as_ref).collect();
-        let joined_owned: Option<Table> = if ctx.tree_edges.is_empty() {
-            None
-        } else {
-            let edges: Vec<JoinEdge> = ctx
-                .tree_edges
-                .iter()
-                .zip(&join_attrs)
-                .map(|(&(a, b), on)| JoinEdge {
-                    a: self.pos[&a],
-                    b: self.pos[&b],
-                    on: (*on).clone(),
-                })
-                .collect();
-            let exec = self.graph.executor();
-            let mut tj = TreeJoin::new(&refs, &edges)?;
-            let mut hook = BoundedHook::new(self.resample);
-            while let Some(hop) = tj.next_hop()? {
-                match hop.key_base {
-                    Some(kb) => {
-                        let hkey = (hop.edge, idxs[hop.edge], kb);
-                        let pair = match self.pair_handles.get(&hkey) {
-                            Some(p) => Arc::clone(p),
-                            None => {
-                                let p = self.graph.pair_sel(
-                                    ctx.vertices[kb],
-                                    ctx.vertices[hop.right],
-                                    hop.on,
-                                )?;
-                                self.pair_handles.insert(hkey, Arc::clone(&p));
-                                p
-                            }
-                        };
-                        tj.advance_with_pair(&exec, &hop, &pair)?;
-                    }
-                    None => tj.advance(&exec, &hop)?,
-                }
-                tj.map_sel(|s| hook.apply(s));
-            }
-            Some(tj.materialize(&exec)?)
-        };
-        let joined: &Table = joined_owned.as_ref().unwrap_or_else(|| &projected[0]);
-
-        let corr = eval_corr(joined, &ctx.source_attrs, &ctx.target_attrs, false)?;
-        let quality = dance_quality::joint::instance_set_quality(joined, self.tane)?;
-
-        let tg = Arc::new(TargetGraph {
-            tree_edges: ctx.tree_edges.clone(),
-            join_attrs: join_attrs.into_iter().cloned().collect(),
-            projections,
-            corr,
-            weight,
-            quality,
-            price,
-        });
-        self.graph.eval_memo.insert(key, Arc::clone(&tg));
-        Ok(tg)
+        ctx
     }
 }
 
@@ -622,8 +438,7 @@ impl<'a> EvalEngine<'a> {
 ///
 /// Returns the best constraint-satisfying state visited, or `None` when no
 /// visited state satisfied the constraints. Proposals evaluate through the
-/// incremental engine unless [`McmcConfig::incremental`] is off; the two
-/// paths visit bit-identical states (see the module docs).
+/// graph's memo and [`evaluate_assignment`] (see the module docs).
 /// [`McmcConfig::chains`] > 1 fans the walk into N independently seeded
 /// parallel chains with a deterministic best-of-N reduction — see
 /// [`crate::multichain`] for the seed/temperature/determinism contract.
@@ -707,11 +522,12 @@ pub fn find_optimal_target_graph(
 }
 
 /// One seeded chain of Algorithm 1's walk over a prepared candidate space:
-/// builds the evaluation path ([`EvalEngine`] or the uncached reference,
-/// per [`McmcConfig::incremental`]) and runs [`walk_chain`] with it. The
+/// builds the walk's [`WalkContext`] and runs [`walk_chain`] with an
+/// evaluation that looks the assignment up in the graph's memo, and on a
+/// miss calls [`evaluate_assignment`] and inserts the result. The
 /// single-chain entry point calls this with temperature 1 —
 /// [`crate::multichain`] calls it once per chain, with the chain's derived
-/// RNG and its ladder temperature. Every engine evaluates through the
+/// RNG and its ladder temperature. Every chain evaluates through the
 /// graph's one memo, so chains and requests share evaluations there.
 #[allow(clippy::too_many_arguments)] // mirrors find_optimal_target_graph's surface
 pub(crate) fn run_single_chain(
@@ -729,48 +545,45 @@ pub(crate) fn run_single_chain(
     temperature: f64,
     rng: &mut StdRng,
 ) -> Result<Option<Arc<TargetGraph>>> {
-    let mut engine = if cfg.incremental {
-        Some(EvalEngine::new(
+    let ctx = Arc::new(WalkContext::new(
+        graph,
+        free,
+        tree_edges,
+        cands,
+        source_cover,
+        target_cover,
+        source_attrs,
+        target_attrs,
+        cfg,
+    ));
+    let mut evaluate = |idxs: &[u32]| -> Result<Arc<TargetGraph>> {
+        let key = EvalKey {
+            idxs: Box::from(idxs),
+            ctx: Arc::clone(&ctx),
+        };
+        if let Some(tg) = graph.eval_memo.get(&key) {
+            return Ok(tg);
+        }
+        let attrs: Vec<AttrSet> = idxs
+            .iter()
+            .zip(cands)
+            .map(|(&i, c)| c[i as usize].clone())
+            .collect();
+        let tg = Arc::new(evaluate_assignment(
             graph,
             free,
             tree_edges,
-            cands,
+            &attrs,
             source_cover,
             target_cover,
             source_attrs,
             target_attrs,
-            cfg,
-        )?)
-    } else {
-        None
-    };
-    let mut evaluate = |idxs: &[u32]| -> Result<Arc<TargetGraph>> {
-        match engine.as_mut() {
-            Some(engine) => engine.evaluate(idxs),
-            None => {
-                // The uncached reference: resolve the attribute sets and run
-                // the full evaluation pipeline.
-                let attrs: Vec<AttrSet> = idxs
-                    .iter()
-                    .zip(cands)
-                    .map(|(&i, c)| c[i as usize].clone())
-                    .collect();
-                evaluate_assignment(
-                    graph,
-                    free,
-                    tree_edges,
-                    &attrs,
-                    source_cover,
-                    target_cover,
-                    source_attrs,
-                    target_attrs,
-                    None,
-                    cfg.resample.as_ref(),
-                    &cfg.tane,
-                )
-                .map(Arc::new)
-            }
-        }
+            None,
+            cfg.resample.as_ref(),
+            &cfg.tane,
+        )?);
+        graph.eval_memo.insert(key, Arc::clone(&tg));
+        Ok(tg)
     };
     walk_chain(
         &mut evaluate,
@@ -784,7 +597,7 @@ pub(crate) fn run_single_chain(
 }
 
 /// The Metropolis walk itself (Algorithm 1 lines 4–13), generic over the
-/// evaluation path. At `temperature == 1.0` the acceptance rule is exactly
+/// evaluation closure. At `temperature == 1.0` the acceptance rule is exactly
 /// the paper's `min(1, CORR'/CORR)` — bit-identical RNG consumption to the
 /// pre-multichain loop — while hotter chains flatten the ratio to
 /// `(CORR'/CORR)^(1/T)` so they cross low-correlation valleys more readily.
@@ -1092,14 +905,15 @@ mod tests {
         assert!((a.corr - b.corr).abs() < 1e-12);
     }
 
-    /// The incremental engine and the fresh-evaluation reference walk to the
-    /// bit-identical best state on the two-key graph — with re-sampling
-    /// firing, across the graph's memo caps (including 0 = memo disabled),
-    /// cold and warm.
+    /// Walks on graphs with the default selection/projection caches walk to
+    /// the bit-identical best state as the cache-free reference (a fresh
+    /// graph with all three evaluation caps at 0) on the two-key graph —
+    /// with re-sampling firing, across the graph's memo caps (including
+    /// 0 = memo disabled), cold and warm.
     #[test]
-    fn incremental_walk_matches_reference_walk() {
+    fn cached_walk_matches_cache_free_walk() {
         let (sc, tc) = covers();
-        let run = |g: &JoinGraph, incremental: bool| {
+        let run = |g: &JoinGraph| {
             find_optimal_target_graph(
                 g,
                 &FxHashSet::default(),
@@ -1117,14 +931,22 @@ mod tests {
                         rate: 0.5,
                         seed: 9,
                     }),
-                    incremental,
                     ..McmcConfig::default()
                 },
             )
             .unwrap()
             .expect("unconstrained search finds something")
         };
-        let reference = run(&two_key_graph(), false);
+        let cache_free = two_key_graph_with(&JoinGraphConfig {
+            sel_cache_cap: 0,
+            proj_cache_cap: 0,
+            eval_memo_cap: 0,
+            ..JoinGraphConfig::default()
+        });
+        let reference = run(&cache_free);
+        assert_eq!(cache_free.sel_cache_len(), 0);
+        assert_eq!(cache_free.proj_cache_len(), 0);
+        assert_eq!(cache_free.eval_memo_len(), 0);
         for memo_cap in [0usize, 1, 512] {
             // A fresh graph per cap: the comparison starts genuinely cold.
             let g = two_key_graph_with(&JoinGraphConfig {
@@ -1132,13 +954,13 @@ mod tests {
                 ..JoinGraphConfig::default()
             });
             for _ in 0..2 {
-                let inc = run(&g, true);
-                assert_eq!(inc.join_attrs, reference.join_attrs, "cap {memo_cap}");
-                assert_eq!(inc.projections, reference.projections);
-                assert_eq!(inc.corr.to_bits(), reference.corr.to_bits());
-                assert_eq!(inc.weight.to_bits(), reference.weight.to_bits());
-                assert_eq!(inc.quality.to_bits(), reference.quality.to_bits());
-                assert_eq!(inc.price.to_bits(), reference.price.to_bits());
+                let cached = run(&g);
+                assert_eq!(cached.join_attrs, reference.join_attrs, "cap {memo_cap}");
+                assert_eq!(cached.projections, reference.projections);
+                assert_eq!(cached.corr.to_bits(), reference.corr.to_bits());
+                assert_eq!(cached.weight.to_bits(), reference.weight.to_bits());
+                assert_eq!(cached.quality.to_bits(), reference.quality.to_bits());
+                assert_eq!(cached.price.to_bits(), reference.price.to_bits());
             }
             assert!(g.sel_cache_len() > 0, "walk populated the selection cache");
             assert!(

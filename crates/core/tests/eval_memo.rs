@@ -1,8 +1,8 @@
 //! The graph-owned MCMC evaluation memo: what its key must separate and
 //! what it may share. Every test compares a memo-served result against a
 //! result computed without the entries in question — a fresh `Dance`, a
-//! cleared graph, or the uncached reference walk (`incremental: false`) —
-//! bit for bit.
+//! cleared graph, or the same walk on a cache-free graph (selection,
+//! projection and memo caps all 0) — bit for bit.
 
 use dance_core::mcmc::find_optimal_target_graph;
 use dance_core::target::Cover;
@@ -238,6 +238,12 @@ fn walk(g: &JoinGraph, free: &FxHashSet<u32>, cfg: &McmcConfig) -> Option<Target
 }
 
 fn graph(threads: usize) -> JoinGraph {
+    graph_with(threads, JoinGraphConfig::default())
+}
+
+/// The catalog's sampled graph built under `cfg` on a `threads`-wide
+/// executor.
+fn graph_with(threads: usize, cfg: JoinGraphConfig) -> JoinGraph {
     let market = market();
     let d = Dance::offline(&market, vec![], config(0.6, threads)).unwrap();
     JoinGraph::build(
@@ -246,7 +252,7 @@ fn graph(threads: usize) -> JoinGraph {
         EntropyPricing::default(),
         &JoinGraphConfig {
             executor: Executor::with_grain(threads, 1),
-            ..JoinGraphConfig::default()
+            ..cfg
         },
     )
     .unwrap()
@@ -254,7 +260,8 @@ fn graph(threads: usize) -> JoinGraph {
 
 /// (d) Two callers of one graph with different free sets, or different
 /// TANE settings, never see each other's entries: every warm result equals
-/// the uncached reference for its own inputs.
+/// the cache-free walk for its own inputs (a fresh graph per reference walk,
+/// all three evaluation caps at 0).
 #[test]
 fn free_sets_and_tane_settings_never_share_entries() {
     let g = graph(1);
@@ -264,14 +271,16 @@ fn free_sets_and_tane_settings_never_share_entries() {
         ..McmcConfig::default()
     };
     let reference = |free: &FxHashSet<u32>, cfg: &McmcConfig| {
-        walk(
-            &g,
-            free,
-            &McmcConfig {
-                incremental: false,
-                ..cfg.clone()
+        let cache_free = graph_with(
+            1,
+            JoinGraphConfig {
+                sel_cache_cap: 0,
+                proj_cache_cap: 0,
+                eval_memo_cap: 0,
+                ..JoinGraphConfig::default()
             },
-        )
+        );
+        walk(&cache_free, free, cfg)
     };
 
     let none = FxHashSet::default();

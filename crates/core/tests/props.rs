@@ -354,14 +354,15 @@ proptest! {
         }
     }
 
-    /// The incremental MCMC engine (cached per-hop selections, cached
-    /// projections/prices, evaluation memo) visits bit-identical states to
-    /// the fresh `evaluate_assignment` walk: same best target graph — join
-    /// attributes, projections, and every metric bit-exact — over full
-    /// seeded walks on randomized typed/NULL catalogs, with §3.2 re-sampling
-    /// firing mid-walk, at executors {1, 4}, cold *and* warm caches.
+    /// Walks through the evaluation caches (cached per-hop selections,
+    /// cached projections/prices, evaluation memo) visit bit-identical states
+    /// to the cache-free walk on a fresh graph with all three caps at 0: same
+    /// best target graph — join attributes, projections, and every metric
+    /// bit-exact — over full seeded walks on randomized typed/NULL catalogs,
+    /// with §3.2 re-sampling firing mid-walk, at executors {1, 4}, cold *and*
+    /// warm caches.
     #[test]
-    fn incremental_search_matches_fresh_search(
+    fn cached_search_matches_cache_free_search(
         catalog in arb_search_catalog(),
         seed in 0u64..1000,
         resample_on in 0u64..2,
@@ -375,28 +376,29 @@ proptest! {
         tc.insert(2, AttrSet::from_names(["sc_tgt"]));
         let source = AttrSet::from_names(["sc_src"]);
         let target = AttrSet::from_names(["sc_tgt"]);
-        let cfg = |incremental: bool| McmcConfig {
+        let cfg = McmcConfig {
             iterations: 30,
             seed,
             // A tiny η forces TreeSel::retain on the composed selection.
             resample: resample.then_some(ResampleConfig { eta: 16, rate: 0.5, seed: seed ^ 7 }),
-            incremental,
             ..McmcConfig::default()
         };
         for threads in [1usize, 4] {
-            let graph = JoinGraph::build(
-                metas.clone(),
-                samples.clone(),
-                EntropyPricing::default(),
-                &JoinGraphConfig {
-                    executor: Executor::with_grain(threads, 1),
-                    ..JoinGraphConfig::default()
-                },
-            )
-            .unwrap();
-            let run = |incremental: bool| {
+            let build = |cfg: JoinGraphConfig| {
+                JoinGraph::build(
+                    metas.clone(),
+                    samples.clone(),
+                    EntropyPricing::default(),
+                    &JoinGraphConfig {
+                        executor: Executor::with_grain(threads, 1),
+                        ..cfg
+                    },
+                )
+                .unwrap()
+            };
+            let run = |graph: &JoinGraph| {
                 find_optimal_target_graph(
-                    &graph,
+                    graph,
                     &FxHashSet::default(),
                     &tree_edges,
                     &sc,
@@ -404,18 +406,21 @@ proptest! {
                     &source,
                     &target,
                     &Constraints::unbounded(),
-                    &cfg(incremental),
+                    &cfg,
                 )
                 .unwrap()
             };
-            let fresh = run(false);
-            // The fresh reference itself populated the projection/price
-            // caches; clear so the first incremental run is genuinely cold.
-            graph.clear_eval_caches();
-            let cold = run(true);
+            let fresh = run(&build(JoinGraphConfig {
+                sel_cache_cap: 0,
+                proj_cache_cap: 0,
+                eval_memo_cap: 0,
+                ..JoinGraphConfig::default()
+            }));
+            let graph = build(JoinGraphConfig::default());
+            let cold = run(&graph);
             assert_same_target(&cold, &fresh)?;
-            // Second incremental run rides fully warm caches.
-            let warm = run(true);
+            // Second run rides fully warm caches.
+            let warm = run(&graph);
             assert_same_target(&warm, &fresh)?;
             prop_assert!(graph.sel_cache_len() > 0, "selection cache populated");
             prop_assert!(graph.proj_cache_len() > 0, "projection cache populated");

@@ -5,7 +5,7 @@ use dance_relation::join::{hash_join, JoinKind};
 use dance_relation::{
     group_ids, group_ids_with, group_rows, join_sel_with, joint_counts, pair_sel_with,
     sym_counts_with, sym_joint_counts, value_counts, value_counts_with, AttrSet, Executor,
-    FxHashMap, GroupKey, InternerRegistry, SymCounts, Table, Value, ValueType,
+    FxHashMap, GroupKey, InternerRegistry, SymCounts, Table, TreeJoin, TreeSel, Value, ValueType,
 };
 use proptest::prelude::*;
 
@@ -479,4 +479,151 @@ proptest! {
             assert_same_table(&late, &per_hop)?;
         }
     }
+
+    /// Sourcing a tree-join hop from a pre-built `PairSel` over its probe-side
+    /// base table (`TreeJoin::advance_with_pair`) is bit-identical to the
+    /// direct probe (`join_tree_late_with`): random typed/NULL tables joined
+    /// along chain and star trees — hops keyed in the start table, in a later
+    /// table, and across tables (direct only) — with private, shared and
+    /// mixed dictionaries, a re-sampling hook calling `TreeSel::retain`
+    /// between hops, at forced-chunking executors {1, 4}.
+    #[test]
+    fn pair_hops_match_direct_hops(
+        specs in prop::collection::vec((0usize..12, 2u64..6, 0u64..1000), 4..5),
+        eta in 0usize..24,
+        hook_seed in 0u64..1000,
+    ) {
+        let schemas: [(&str, &[(&str, ValueType)]); 4] = [
+            ("PA", &[("ph_s", ValueType::Str), ("ph_i", ValueType::Int), ("ph_a", ValueType::Int)]),
+            (
+                "PB",
+                &[
+                    ("ph_s", ValueType::Str),
+                    ("ph_i", ValueType::Int),
+                    ("ph_f", ValueType::Float),
+                    ("ph_b", ValueType::Int),
+                ],
+            ),
+            ("PC", &[("ph_i", ValueType::Int), ("ph_f", ValueType::Float), ("ph_c", ValueType::Int)]),
+            ("PD", &[("ph_s", ValueType::Str), ("ph_f", ValueType::Float), ("ph_d", ValueType::Int)]),
+        ];
+        let base: Vec<Table> = schemas
+            .iter()
+            .zip(&specs)
+            .map(|(&(name, cols), &(n, dom, seed))| typed_null_table(name, cols, n, dom, seed))
+            .collect();
+        let reg = InternerRegistry::new();
+        let dictionaries: [Vec<Table>; 3] = [
+            base.clone(),
+            base.iter().map(|t| t.intern_into(&reg)).collect(),
+            base.iter()
+                .enumerate()
+                .map(|(i, t)| if i % 2 == 0 { t.intern_into(&reg) } else { t.clone() })
+                .collect(),
+        ];
+        let edge = |a: usize, b: usize, on: &[&str]| dance_relation::join::JoinEdge {
+            a,
+            b,
+            on: AttrSet::from_names(on.iter().copied()),
+        };
+        // (edges, expected pair hops, expected direct hops)
+        let shapes = [
+            // Chain A–B–C–D: `ph_s` keyed in A, `{ph_i, ph_f}` spans A and B
+            // (direct only), `ph_f` keyed in B.
+            (vec![edge(0, 1, &["ph_s"]), edge(1, 2, &["ph_i", "ph_f"]), edge(2, 3, &["ph_f"])], 2, 1),
+            // Star around B (the start table).
+            (vec![edge(1, 0, &["ph_s"]), edge(1, 2, &["ph_f"]), edge(1, 3, &["ph_s", "ph_f"])], 3, 0),
+            // Star around A with a compound key.
+            (vec![edge(0, 1, &["ph_s", "ph_i"]), edge(0, 2, &["ph_i"]), edge(0, 3, &["ph_s"])], 3, 0),
+        ];
+        for tables in &dictionaries {
+            let tables: Vec<&Table> = tables.iter().collect();
+            for (edges, pair_hops, direct_hops) in &shapes {
+                for threads in [1usize, 4] {
+                    let exec = Executor::with_grain(threads, 1);
+                    let mut step = 0;
+                    let direct = dance_relation::join_tree_late_with(&exec, &tables, edges, |s| {
+                        resample_hook(eta, hook_seed, &mut step, s)
+                    })
+                    .unwrap();
+                    let mut tj = TreeJoin::new(&tables, edges).unwrap();
+                    let mut step = 0;
+                    let (mut pairs, mut directs) = (0, 0);
+                    while let Some(hop) = tj.next_hop().unwrap() {
+                        match hop.key_base {
+                            Some(kb) => {
+                                let pair =
+                                    pair_sel_with(&exec, tables[kb], tables[hop.right], hop.on)
+                                        .unwrap();
+                                tj.advance_with_pair(&exec, &hop, &pair).unwrap();
+                                pairs += 1;
+                            }
+                            None => {
+                                tj.advance(&exec, &hop).unwrap();
+                                directs += 1;
+                            }
+                        }
+                        tj.map_sel(|s| resample_hook(eta, hook_seed, &mut step, s));
+                    }
+                    prop_assert_eq!((pairs, directs), (*pair_hops, *direct_hops));
+                    let paired = tj.materialize(&exec).unwrap();
+                    assert_same_table(&paired, &direct)?;
+                    for r in 0..paired.num_rows() {
+                        prop_assert_eq!(
+                            format!("{:?}", paired.row(r)),
+                            format!("{:?}", direct.row(r)),
+                            "row {} differs in bits", r
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A §3.2-style re-sampling hook: past `eta` rows, keep a seeded
+/// two-thirds of the composed selection (`TreeSel::retain`), reseeded per
+/// hop through `step`.
+fn resample_hook(eta: usize, seed: u64, step: &mut u64, mut sel: TreeSel) -> TreeSel {
+    *step += 1;
+    if sel.num_rows() > eta {
+        let keep: Vec<u32> = (0..sel.num_rows() as u32)
+            .filter(|&r| dance_relation::hash::stable_hash64(seed ^ *step, &r) % 3 != 0)
+            .collect();
+        sel.retain(&keep);
+    }
+    sel
+}
+
+/// A table over `cols` with `n` rows: every non-payload column draws from a
+/// `dom`-value domain with NULLs (floats include `0.0` and `-0.0`); the last
+/// column is a row-id payload.
+fn typed_null_table(
+    name: &str,
+    cols: &[(&str, ValueType)],
+    n: usize,
+    dom: u64,
+    seed: u64,
+) -> Table {
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|r| {
+            let h = dance_relation::hash::stable_hash64(seed, &(r as u64));
+            let last = cols.len() - 1;
+            cols.iter()
+                .enumerate()
+                .map(|(c, &(_, ty))| {
+                    let v = (h >> (8 * c)) % (dom + 1);
+                    match (c == last, v, ty) {
+                        (true, _, _) => Value::Int(r as i64),
+                        (false, 0, _) => Value::Null,
+                        (false, v, ValueType::Str) => Value::str(format!("v{v}")),
+                        (false, v, ValueType::Int) => Value::Int(v as i64),
+                        (false, 1, _) => Value::Float(-0.0),
+                        (false, v, _) => Value::Float((v - 2) as f64 / 2.0),
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    Table::from_rows(name, cols, rows).unwrap()
 }

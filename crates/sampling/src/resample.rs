@@ -56,12 +56,12 @@ pub struct ResampleStats {
 }
 
 /// The §3.2 re-sampling hook at the selection level, factored out of
-/// [`join_tree_bounded_with`] so that incremental tree drivers — the MCMC
-/// search's cached evaluation engine drives
-/// [`dance_relation::sel::TreeJoin`] hop by hop — apply re-sampling with the
-/// *same* step numbering and seed derivation as the batch pipeline. Composed
-/// selections, stats, and every downstream estimator draw stay byte-identical
-/// between the two drivers.
+/// [`join_tree_bounded_with`] so that callers driving
+/// [`dance_relation::sel::TreeJoin`] hop by hop — the MCMC evaluation kernel
+/// does, to source hops from cached pair selections — apply re-sampling with
+/// the *same* step numbering and seed derivation as the batch pipeline.
+/// Composed selections, stats, and every downstream estimator draw stay
+/// byte-identical between the two drivers.
 #[derive(Debug)]
 pub struct BoundedHook<'a> {
     cfg: Option<&'a ResampleConfig>,
